@@ -25,10 +25,12 @@
 //!   and prints a per-shard terminal snapshot: ring occupancy, high
 //!   water, `w`, drops, latency percentiles, SLO burn rates, and
 //!   cost-model drift gauges. (`--interval-ms` is accepted as an alias.)
-//! * `nba-bench explain <decisions.jsonl>`
-//!   Renders a balancer decision log (written by `run --audit N
-//!   --audit-out PATH`) as a human-readable timeline, after verifying the
-//!   log replays bit-exactly through a fresh balancer.
+//! * `nba-bench explain <journal.jsonl>`
+//!   Reads any run journal — a balancer decision log (written by `run
+//!   --audit N --audit-out PATH`), a supervisor log, or a flow-op
+//!   journal — verifies that it replays (decision logs bit-exactly
+//!   through a fresh balancer, supervisor logs as legal state-machine
+//!   walks, flow-op journals against the live-key sets), then renders it.
 //!
 //! Observability flags on `run`: `--trace N` sizes the batch-lifecycle
 //! trace rings (0 = off, the default — tracing-off runs are bit-identical
@@ -49,6 +51,7 @@
 
 use nba_apps::stateful::NatConfig;
 use nba_apps::{pipelines, AppConfig};
+use nba_bench::explain::{explain_journal, ExplainError};
 use nba_bench::report::{compare, BenchReport, ScalePoint, Tolerances};
 use nba_core::lb::{self, AlbConfig, BalancerFactory, LoadBalancer, SharedBalancer};
 use nba_core::runtime::live::{self, LiveConfig};
@@ -59,7 +62,7 @@ use nba_sim::{Time, Topology};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  nba-bench run <ipv4|ipv6|ipsec|ids|nat> [--out PATH] [--mode alb|cpu|gpu|<w>] [--faults SPEC] [--workers N,M,..] [--runtime des|live] [--trace N] [--stats-addr HOST:PORT] [--flight-dir DIR] [--audit N] [--audit-out PATH] [--slo SPEC] [--shed SPEC]\n  nba-bench compare <baseline.json> <current.json> [--tol-throughput R] [--tol-latency R] [--tol-w A]\n  nba-bench top <addr> [--interval MS] [--count N]\n  nba-bench explain <decisions.jsonl>"
+        "usage:\n  nba-bench run <ipv4|ipv6|ipsec|ids|nat> [--out PATH] [--mode alb|cpu|gpu|<w>] [--faults SPEC] [--workers N,M,..] [--runtime des|live] [--trace N] [--stats-addr HOST:PORT] [--flight-dir DIR] [--audit N] [--audit-out PATH] [--slo SPEC] [--shed SPEC]\n  nba-bench compare <baseline.json> <current.json> [--tol-throughput R] [--tol-latency R] [--tol-w A]\n  nba-bench top <addr> [--interval MS] [--count N]\n  nba-bench explain <journal.jsonl>  (decision, supervisor or flow-op log)"
     );
     std::process::exit(2);
 }
@@ -80,6 +83,19 @@ fn positionals(args: &[String]) -> Vec<&str> {
         }
     }
     out
+}
+
+/// The value of `--name VALUE` or `--name=VALUE`.
+fn flag(args: &[String], name: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .or_else(|| {
+            let prefix = format!("{name}=");
+            args.iter()
+                .find_map(|a| a.strip_prefix(&prefix).map(str::to_string))
+        })
 }
 
 /// True when `NBA_QUICK` asks for shortened smoke windows.
@@ -331,16 +347,7 @@ fn cmd_run(args: &[String]) -> i32 {
     let Some(&app) = positionals(args).first() else {
         usage();
     };
-    let opt = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&format!("{name}=")).map(str::to_string))
-            })
-    };
+    let opt = |name: &str| flag(args, name);
     let mode = opt("--mode").unwrap_or_else(|| "alb".to_string());
     // Canonical app name so ipv4 and v4 produce the same artifact.
     let app = match app {
@@ -563,14 +570,14 @@ fn cmd_run(args: &[String]) -> i32 {
         }
         println!(
             "{app}: {} balancer decisions -> {path} (render with `nba-bench explain {path}`)",
-            log.records.len()
+            log.events.len()
         );
     }
     0
 }
 
-/// `nba-bench explain <decisions.jsonl>`: verify the log replays
-/// bit-exactly, then render it as a human timeline.
+/// `nba-bench explain <journal.jsonl>`: verify the journal replays, then
+/// render it.
 fn cmd_explain(args: &[String]) -> i32 {
     let [path] = positionals(args)[..] else {
         usage();
@@ -582,33 +589,20 @@ fn cmd_explain(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let log = match nba_core::audit::DecisionLog::from_jsonl(&text) {
-        Ok(l) => l,
-        Err(e) => {
+    match explain_journal(&text) {
+        Ok(out) => {
+            print!("{out}");
+            0
+        }
+        Err(ExplainError::Parse(e)) => {
             eprintln!("{path}: {e}");
-            return 2;
+            2
         }
-    };
-    // Replay the recorded inputs through a fresh balancer: the log is
-    // trustworthy only if it reproduces itself bit for bit.
-    match nba_core::audit::replay(&log) {
-        Ok(replayed) if replayed.bit_eq(&log) => {
-            println!(
-                "replay: {} records reproduced bit-exactly\n",
-                log.records.len()
-            );
-        }
-        Ok(_) => {
-            eprintln!("{path}: replay DIVERGED from the recorded decisions — the log does not explain itself");
-            return 1;
-        }
-        Err(e) => {
-            eprintln!("{path}: replay failed: {e}");
-            return 1;
+        Err(ExplainError::Replay(e)) => {
+            eprintln!("{path}: {e} — the journal does not explain itself");
+            1
         }
     }
-    print!("{}", log.explain());
-    0
 }
 
 fn cmd_compare(args: &[String]) -> i32 {
@@ -616,14 +610,7 @@ fn cmd_compare(args: &[String]) -> i32 {
         usage();
     };
     let tol_of = |name: &str, default: f64| -> f64 {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&format!("{name}=")).map(str::to_string))
-            })
+        flag(args, name)
             .map(|v| match v.parse() {
                 Ok(f) => f,
                 Err(_) => {
@@ -768,16 +755,7 @@ fn cmd_top(args: &[String]) -> i32 {
     let [addr] = positionals(args)[..] else {
         usage();
     };
-    let opt = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&format!("{name}=")).map(str::to_string))
-            })
-    };
+    let opt = |name: &str| flag(args, name);
     let interval = opt("--interval")
         .or_else(|| opt("--interval-ms"))
         .and_then(|v| v.parse::<u64>().ok())

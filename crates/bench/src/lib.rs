@@ -5,6 +5,8 @@
 //!   rows the paper plots and returning them for shape assertions,
 //! * [`report`] — versioned `BENCH_*.json` benchmark artifacts and the
 //!   regression gate (`nba-bench run` / `nba-bench compare`),
+//! * [`explain`] — replay-verify and render any run journal
+//!   (`nba-bench explain`),
 //! * `benches/figures.rs` (`cargo bench`) runs all of them,
 //! * `src/bin/repro.rs` runs a single one (`cargo run -p nba-bench --bin
 //!   repro -- fig12`).
@@ -12,5 +14,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod explain;
 pub mod report;
 pub mod table;

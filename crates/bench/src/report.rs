@@ -5,9 +5,10 @@
 //! provenance (git SHA, rustc version, config digest), headline throughput
 //! (Gbps/Mpps), end-to-end latency percentiles, per-element attribution,
 //! and balancer convergence (final `w`, settle time, the whole `w`
-//! trajectory). Reports serialize to JSON with our own writer and parse
-//! back with [`nba_core::json`], so the artifact pipeline stays
-//! dependency-free.
+//! trajectory). Each section's JSON keys are its field names, declared once
+//! with [`nba_core::json_struct!`]; the same table drives the indented
+//! writer and the typed reader of [`nba_core::json`], so the artifact
+//! pipeline stays dependency-free and emit and parse cannot drift apart.
 //!
 //! [`compare`] diffs two reports under per-metric [`Tolerances`]. The gate
 //! is one-sided — improvements never fail — and deliberately generous by
@@ -17,24 +18,22 @@
 //! All latency fields are nanoseconds with the `_ns` suffix (see
 //! DESIGN.md, "Units").
 
-use nba_core::json::{self, Value};
+use nba_core::audit::{DriftReport, SloConfig, SloReport};
+use nba_core::flow::{FlowReport, FlowShardSnapshot};
+use nba_core::json::{self, Json, Value};
+use nba_core::json_struct;
 use nba_core::runtime::{RunReport, RuntimeConfig};
 use nba_core::stats::LatencyHistogram;
-use nba_core::telemetry::{json_escape, json_f64, TimeSample};
+use nba_core::telemetry::TimeSample;
 
 use crate::table::Table;
 
-/// Version of the `BENCH_*.json` schema this code writes. Version 2 added
-/// the `faults` section; version 3 added the optional `scaling` section
-/// (throughput-vs-workers series); version 4 added the optional audit
-/// sections (`offload_stages`, `drift`, `slo`); version 5 added the
-/// optional `flows` section (stateful flow-table accounting). Earlier
-/// artifacts still parse (with the missing sections defaulted) so
-/// existing baselines stay valid.
+/// Version of the `BENCH_*.json` schema, the only one this code writes
+/// and reads. Version 2 added the `faults` section; version 3 the optional
+/// `scaling` section (throughput-vs-workers series); version 4 the
+/// optional audit sections (`offload_stages`, `drift`, `slo`); version 5
+/// the optional `flows` section (stateful flow-table accounting).
 pub const SCHEMA_VERSION: u64 = 5;
-
-/// Oldest schema version [`BenchReport::parse`] accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// End-to-end latency percentile summary, nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -192,31 +191,13 @@ pub struct OffloadStagesSection {
     pub stages: Vec<StageRow>,
 }
 
-/// Cost-model drift accounting (schema v4).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftSection {
-    /// Tasks the detector scored.
-    pub tasks: u64,
-    /// Final smoothed relative error between predicted and measured cost.
-    pub rel_err: f64,
-    /// Drift events raised (the detector latches at 1).
-    pub events: u64,
-    /// Stage with the largest accumulated unpredicted time, if any.
-    pub worst_stage: Option<String>,
-    /// That stage's accumulated unpredicted nanoseconds.
-    pub worst_excess_ns: f64,
-}
-
-/// SLO budget verdict (schema v4): the declared objectives plus burn-rate
-/// accounting over the run's sample windows.
+/// SLO budget verdict (schema v4): the declared objectives plus the
+/// [`SloReport`] burn-rate accounting over the run's sample windows. The
+/// report's whole-run p99 and Mpps are the artifact's headline numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSection {
-    /// Latency budget, nanoseconds (None = not tracked).
-    pub latency_ns: Option<u64>,
-    /// Throughput floor, Mpps (None = not tracked).
-    pub min_mpps: Option<f64>,
-    /// Fraction of sample windows allowed to violate.
-    pub error_budget: f64,
+    /// The declared objectives.
+    pub cfg: SloConfig,
     /// Sample windows scored.
     pub windows: u64,
     /// Windows that violated the latency budget.
@@ -231,42 +212,17 @@ pub struct SloSection {
     pub met: bool,
 }
 
-/// Stateful flow-table accounting (schema v5): run-wide totals across
-/// every worker shard, straight from the [`nba_core::flow::FlowRegistry`]
-/// report. Present only when the app carries stateful elements (NAT,
-/// conntrack, Maglev) — plain forwarding apps have no flow plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlowsSection {
-    /// Flows resident in the tables at the end of the run.
-    pub live: u64,
-    /// New flow entries created.
-    pub inserts: u64,
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries reaped after the idle TTL.
-    pub evict_idle: u64,
-    /// Embryonic (half-open) entries reaped early.
-    pub evict_embryonic: u64,
-    /// Entries removed by protocol close (FIN/RST).
-    pub evict_closed: u64,
-    /// Entries invalidated by worker death.
-    pub evict_death: u64,
-    /// Foreign-bucket entries adopted after a re-steer.
-    pub migrated_in: u64,
-    /// Packets dropped because a table was full.
-    pub table_full_drops: u64,
-    /// Packets dropped for lacking a conntrack entry.
-    pub out_of_state_drops: u64,
-    /// NAT ports held at the end of the run.
-    pub nat_ports_in_use: u64,
-}
-
-impl FlowsSection {
-    /// Evictions across every reason.
-    pub fn evictions_total(&self) -> u64 {
-        self.evict_idle + self.evict_embryonic + self.evict_closed + self.evict_death
+impl From<&SloReport> for SloSection {
+    fn from(r: &SloReport) -> SloSection {
+        SloSection {
+            cfg: r.cfg.clone(),
+            windows: r.windows,
+            latency_violations: r.latency_violations,
+            throughput_violations: r.throughput_violations,
+            latency_burn: r.latency_burn,
+            throughput_burn: r.throughput_burn,
+            met: r.met,
+        }
     }
 }
 
@@ -291,11 +247,10 @@ pub fn settle_time_ns(samples: &[TimeSample], final_w: f64) -> Option<u64> {
     settled_at
 }
 
-/// One benchmark run as a versioned, machine-readable artifact.
+/// One benchmark run as a versioned, machine-readable artifact (schema
+/// [`SCHEMA_VERSION`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Schema version ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
     /// App name (`ipv4` / `ipv6` / `ipsec` / `ids`).
     pub app: String,
     /// `git rev-parse HEAD` of the working tree, or `"unknown"`.
@@ -322,23 +277,48 @@ pub struct BenchReport {
     pub latency: LatencySummary,
     /// Balancer convergence.
     pub balancer: BalancerReport,
-    /// Fault-injection and recovery accounting (all-zero on clean runs;
-    /// defaults to zero when parsing version-1 artifacts).
+    /// Fault-injection and recovery accounting (all-zero on clean runs).
     pub faults: FaultsSection,
     /// Per-element attribution, sorted by node.
     pub elements: Vec<ElementReport>,
     /// Throughput-vs-workers sweep, when the run was a scaling sweep
-    /// (`None` for single-configuration runs and pre-v3 artifacts).
+    /// (`None` for single-configuration runs).
     pub scaling: Option<ScalingSection>,
     /// Offload stage decomposition (`None` unless stage stats were on).
     pub offload_stages: Option<OffloadStagesSection>,
     /// Cost-model drift accounting (`None` unless drift detection was on).
-    pub drift: Option<DriftSection>,
+    pub drift: Option<DriftReport>,
     /// SLO budget verdict (`None` unless an SLO was configured).
     pub slo: Option<SloSection>,
-    /// Stateful flow-table totals (`None` for stateless apps and pre-v5
-    /// artifacts).
-    pub flows: Option<FlowsSection>,
+    /// Stateful flow-table totals across every worker shard (`None` for
+    /// stateless apps: plain forwarding has no flow plane).
+    pub flows: Option<FlowShardSnapshot>,
+}
+
+json_struct! { LatencySummary { p50_ns, p90_ns, p99_ns, p999_ns, mean_ns, max_ns, count } }
+json_struct! { ElementReport { node, element, batches, packets, drops, busy_ns, p50_ns, p99_ns } }
+json_struct! { WPoint { t_ns, w } }
+json_struct! { BalancerReport { final_w, settle_ns, trajectory } }
+json_struct! { QuarantineSpan { start_ns, end_ns } }
+json_struct! {
+    FaultsSection {
+        injected, retried, fell_back_packets, dropped_packets, panics_contained, quarantines,
+    }
+}
+json_struct! { ScalePoint { workers, tx_mpps, tx_gbps } }
+json_struct! { ScalingSection { runtime, series } }
+json_struct! { StageRow { stage, mean_ns, p99_ns, total_ns } }
+json_struct! { OffloadStagesSection { tasks, stages } }
+json_struct! {
+    SloSection {
+        windows, latency_violations, throughput_violations, latency_burn, throughput_burn, met,
+    } flatten { cfg }
+}
+json_struct! {
+    BenchReport {
+        app, git_sha, rustc, config_digest, quick, duration_ns, offered_gbps, tx_gbps,
+        tx_mpps, rx_dropped, latency, balancer, faults, elements,
+    } omit_none { scaling, offload_stages, drift, slo, flows }
 }
 
 /// FNV-1a over the configuration knobs that define the experiment. Not a
@@ -379,21 +359,18 @@ pub fn config_digest(cfg: &RuntimeConfig) -> String {
 
 /// `git rev-parse HEAD`, or `"unknown"` outside a repository.
 pub fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    command_output("git", &["rev-parse", "HEAD"])
 }
 
 /// `rustc --version`, or `"unknown"`.
 pub fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
+    command_output("rustc", &["--version"])
+}
+
+/// A command's trimmed output, or `"unknown"` when it fails or says nothing.
+fn command_output(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -408,7 +385,6 @@ impl BenchReport {
     /// `rustc`) are captured from the environment here.
     pub fn from_run(app: &str, cfg: &RuntimeConfig, run: &RunReport, quick: bool) -> BenchReport {
         BenchReport {
-            schema_version: SCHEMA_VERSION,
             app: app.to_string(),
             git_sha: git_sha(),
             rustc: rustc_version(),
@@ -475,41 +451,9 @@ impl BenchReport {
                     })
                     .collect(),
             }),
-            drift: run.drift.as_ref().map(|d| DriftSection {
-                tasks: d.tasks,
-                rel_err: d.rel_err,
-                events: d.events,
-                worst_stage: d.worst_stage.clone(),
-                worst_excess_ns: d.worst_excess_ns,
-            }),
-            slo: run.slo.as_ref().map(|s| SloSection {
-                latency_ns: s.cfg.latency_ns,
-                min_mpps: s.cfg.min_mpps,
-                error_budget: s.cfg.error_budget,
-                windows: s.windows,
-                latency_violations: s.latency_violations,
-                throughput_violations: s.throughput_violations,
-                latency_burn: s.latency_burn,
-                throughput_burn: s.throughput_burn,
-                met: s.met,
-            }),
-            flows: run.flows.as_ref().map(|f| {
-                let t = f.totals();
-                FlowsSection {
-                    live: t.live,
-                    inserts: t.inserts,
-                    hits: t.hits,
-                    misses: t.misses,
-                    evict_idle: t.evict_idle,
-                    evict_embryonic: t.evict_embryonic,
-                    evict_closed: t.evict_closed,
-                    evict_death: t.evict_death,
-                    migrated_in: t.migrated_in,
-                    table_full_drops: t.table_full_drops,
-                    out_of_state_drops: t.out_of_state_drops,
-                    nat_ports_in_use: t.nat_ports_in_use,
-                }
-            }),
+            drift: run.drift.clone(),
+            slo: run.slo.as_ref().map(SloSection::from),
+            flows: run.flows.as_ref().map(FlowReport::totals),
         }
     }
 
@@ -524,496 +468,25 @@ impl BenchReport {
         self
     }
 
-    /// Serializes to pretty-printed JSON (the `BENCH_*.json` artifact).
+    /// Serializes to indented JSON (the `BENCH_*.json` artifact).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        s.push_str(&format!("  \"app\": \"{}\",\n", json_escape(&self.app)));
-        s.push_str(&format!(
-            "  \"git_sha\": \"{}\",\n",
-            json_escape(&self.git_sha)
-        ));
-        s.push_str(&format!("  \"rustc\": \"{}\",\n", json_escape(&self.rustc)));
-        s.push_str(&format!(
-            "  \"config_digest\": \"{}\",\n",
-            json_escape(&self.config_digest)
-        ));
-        s.push_str(&format!("  \"quick\": {},\n", self.quick));
-        s.push_str(&format!("  \"duration_ns\": {},\n", self.duration_ns));
-        s.push_str(&format!(
-            "  \"offered_gbps\": {},\n",
-            json_f64(self.offered_gbps)
-        ));
-        s.push_str(&format!("  \"tx_gbps\": {},\n", json_f64(self.tx_gbps)));
-        s.push_str(&format!("  \"tx_mpps\": {},\n", json_f64(self.tx_mpps)));
-        s.push_str(&format!("  \"rx_dropped\": {},\n", self.rx_dropped));
-        let l = &self.latency;
-        s.push_str(&format!(
-            "  \"latency\": {{\"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}, \"count\": {}}},\n",
-            l.p50_ns, l.p90_ns, l.p99_ns, l.p999_ns, l.mean_ns, l.max_ns, l.count
-        ));
-        s.push_str("  \"balancer\": {\n");
-        s.push_str(&format!(
-            "    \"final_w\": {},\n",
-            json_f64(self.balancer.final_w)
-        ));
-        match self.balancer.settle_ns {
-            Some(ns) => s.push_str(&format!("    \"settle_ns\": {ns},\n")),
-            None => s.push_str("    \"settle_ns\": null,\n"),
+        let mut v = self.encode();
+        if let Value::Obj(m) = &mut v {
+            m.insert("schema_version".to_owned(), SCHEMA_VERSION.encode());
         }
-        let traj: Vec<String> = self
-            .balancer
-            .trajectory
-            .iter()
-            .map(|p| format!("{{\"t_ns\": {}, \"w\": {}}}", p.t_ns, json_f64(p.w)))
-            .collect();
-        s.push_str(&format!("    \"trajectory\": [{}]\n", traj.join(", ")));
-        s.push_str("  },\n");
-        let f = &self.faults;
-        s.push_str("  \"faults\": {\n");
-        s.push_str(&format!("    \"injected\": {},\n", f.injected));
-        s.push_str(&format!("    \"retried\": {},\n", f.retried));
-        s.push_str(&format!(
-            "    \"fell_back_packets\": {},\n",
-            f.fell_back_packets
-        ));
-        s.push_str(&format!(
-            "    \"dropped_packets\": {},\n",
-            f.dropped_packets
-        ));
-        s.push_str(&format!(
-            "    \"panics_contained\": {},\n",
-            f.panics_contained
-        ));
-        let spans: Vec<String> = f
-            .quarantines
-            .iter()
-            .map(|q| {
-                let end = match q.end_ns {
-                    Some(ns) => ns.to_string(),
-                    None => "null".to_string(),
-                };
-                format!("{{\"start_ns\": {}, \"end_ns\": {end}}}", q.start_ns)
-            })
-            .collect();
-        s.push_str(&format!("    \"quarantines\": [{}]\n", spans.join(", ")));
-        s.push_str("  },\n");
-        if let Some(sc) = &self.scaling {
-            s.push_str("  \"scaling\": {\n");
-            s.push_str(&format!(
-                "    \"runtime\": \"{}\",\n",
-                json_escape(&sc.runtime)
-            ));
-            let pts: Vec<String> = sc
-                .series
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"workers\": {}, \"tx_mpps\": {}, \"tx_gbps\": {}}}",
-                        p.workers,
-                        json_f64(p.tx_mpps),
-                        json_f64(p.tx_gbps)
-                    )
-                })
-                .collect();
-            s.push_str(&format!("    \"series\": [{}]\n", pts.join(", ")));
-            s.push_str("  },\n");
-        }
-        if let Some(st) = &self.offload_stages {
-            s.push_str("  \"offload_stages\": {\n");
-            s.push_str(&format!("    \"tasks\": {},\n", st.tasks));
-            let rows: Vec<String> = st
-                .stages
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{{\"stage\": \"{}\", \"mean_ns\": {}, \"p99_ns\": {}, \"total_ns\": {}}}",
-                        json_escape(&r.stage),
-                        json_f64(r.mean_ns),
-                        r.p99_ns,
-                        r.total_ns
-                    )
-                })
-                .collect();
-            s.push_str(&format!("    \"stages\": [{}]\n", rows.join(", ")));
-            s.push_str("  },\n");
-        }
-        if let Some(d) = &self.drift {
-            let worst = match &d.worst_stage {
-                Some(w) => format!("\"{}\"", json_escape(w)),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "  \"drift\": {{\"tasks\": {}, \"rel_err\": {}, \"events\": {}, \"worst_stage\": {worst}, \"worst_excess_ns\": {}}},\n",
-                d.tasks,
-                json_f64(d.rel_err),
-                d.events,
-                json_f64(d.worst_excess_ns)
-            ));
-        }
-        if let Some(sl) = &self.slo {
-            let lat = match sl.latency_ns {
-                Some(ns) => ns.to_string(),
-                None => "null".to_string(),
-            };
-            let mpps = match sl.min_mpps {
-                Some(m) => json_f64(m),
-                None => "null".to_string(),
-            };
-            s.push_str("  \"slo\": {\n");
-            s.push_str(&format!(
-                "    \"latency_ns\": {lat}, \"min_mpps\": {mpps}, \"error_budget\": {},\n",
-                json_f64(sl.error_budget)
-            ));
-            s.push_str(&format!(
-                "    \"windows\": {}, \"latency_violations\": {}, \"throughput_violations\": {},\n",
-                sl.windows, sl.latency_violations, sl.throughput_violations
-            ));
-            s.push_str(&format!(
-                "    \"latency_burn\": {}, \"throughput_burn\": {}, \"met\": {}\n",
-                json_f64(sl.latency_burn),
-                json_f64(sl.throughput_burn),
-                sl.met
-            ));
-            s.push_str("  },\n");
-        }
-        if let Some(fl) = &self.flows {
-            s.push_str("  \"flows\": {\n");
-            s.push_str(&format!(
-                "    \"live\": {}, \"inserts\": {}, \"hits\": {}, \"misses\": {},\n",
-                fl.live, fl.inserts, fl.hits, fl.misses
-            ));
-            s.push_str(&format!(
-                "    \"evict_idle\": {}, \"evict_embryonic\": {}, \"evict_closed\": {}, \"evict_death\": {},\n",
-                fl.evict_idle, fl.evict_embryonic, fl.evict_closed, fl.evict_death
-            ));
-            s.push_str(&format!(
-                "    \"migrated_in\": {}, \"table_full_drops\": {}, \"out_of_state_drops\": {}, \"nat_ports_in_use\": {}\n",
-                fl.migrated_in, fl.table_full_drops, fl.out_of_state_drops, fl.nat_ports_in_use
-            ));
-            s.push_str("  },\n");
-        }
-        s.push_str("  \"elements\": [\n");
-        for (i, e) in self.elements.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"node\": {}, \"element\": \"{}\", \"batches\": {}, \"packets\": {}, \"drops\": {}, \"busy_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}{}\n",
-                e.node,
-                json_escape(&e.element),
-                e.batches,
-                e.packets,
-                e.drops,
-                e.busy_ns,
-                e.p50_ns,
-                e.p99_ns,
-                if i + 1 < self.elements.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        format!("{v:#}\n")
     }
 
     /// Parses a report back from JSON, validating the schema version.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
-        let obj = v.as_obj().ok_or("report is not a JSON object")?;
-        let need = |k: &str| -> Result<&Value, String> {
-            obj.get(k).ok_or_else(|| format!("missing field '{k}'"))
-        };
-        let u64_of = |k: &str| -> Result<u64, String> {
-            need(k)?
-                .as_u64()
-                .ok_or_else(|| format!("field '{k}' is not a non-negative integer"))
-        };
-        let f64_of = |k: &str| -> Result<f64, String> {
-            need(k)?
-                .as_f64()
-                .ok_or_else(|| format!("field '{k}' is not a number"))
-        };
-        let str_of = |k: &str| -> Result<String, String> {
-            Ok(need(k)?
-                .as_str()
-                .ok_or_else(|| format!("field '{k}' is not a string"))?
-                .to_string())
-        };
-        let schema_version = u64_of("schema_version")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema_version) {
+        let version: u64 = json::field(&v, "schema_version")?;
+        if version != SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {schema_version} \
-                 (this build reads {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                "unsupported schema_version {version} (this build reads {SCHEMA_VERSION})"
             ));
         }
-        let lat = need("latency")?;
-        let lat_u64 = |k: &str| -> Result<u64, String> {
-            lat.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("latency.{k} missing or not an integer"))
-        };
-        let bal = need("balancer")?;
-        let final_w = bal
-            .get("final_w")
-            .and_then(Value::as_f64)
-            .ok_or("balancer.final_w missing or not a number")?;
-        let settle_ns = match bal.get("settle_ns") {
-            Some(Value::Null) | None => None,
-            Some(v) => Some(v.as_u64().ok_or("balancer.settle_ns is not an integer")?),
-        };
-        let mut trajectory = Vec::new();
-        if let Some(traj) = bal.get("trajectory").and_then(Value::as_arr) {
-            for p in traj {
-                trajectory.push(WPoint {
-                    t_ns: p
-                        .get("t_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or("trajectory point missing t_ns")?,
-                    w: p.get("w")
-                        .and_then(Value::as_f64)
-                        .ok_or("trajectory point missing w")?,
-                });
-            }
-        }
-        // Version-1 artifacts predate fault accounting; they were by
-        // definition clean runs, so zero defaults are exact, not a guess.
-        let mut faults = FaultsSection::default();
-        if let Some(f) = obj.get("faults") {
-            let fu = |k: &str| -> Result<u64, String> {
-                f.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("faults.{k} missing or not an integer"))
-            };
-            faults.injected = fu("injected")?;
-            faults.retried = fu("retried")?;
-            faults.fell_back_packets = fu("fell_back_packets")?;
-            faults.dropped_packets = fu("dropped_packets")?;
-            faults.panics_contained = fu("panics_contained")?;
-            if let Some(spans) = f.get("quarantines").and_then(Value::as_arr) {
-                for q in spans {
-                    faults.quarantines.push(QuarantineSpan {
-                        start_ns: q
-                            .get("start_ns")
-                            .and_then(Value::as_u64)
-                            .ok_or("quarantine span missing start_ns")?,
-                        end_ns: match q.get("end_ns") {
-                            Some(Value::Null) | None => None,
-                            Some(v) => {
-                                Some(v.as_u64().ok_or("quarantine end_ns is not an integer")?)
-                            }
-                        },
-                    });
-                }
-            }
-        } else if schema_version >= 2 {
-            return Err("missing field 'faults' (required from schema_version 2)".to_string());
-        }
-        // Scaling is optional at every version: sweeps write it, single
-        // runs don't, and pre-v3 artifacts never have it.
-        let mut scaling = None;
-        if let Some(sc) = obj.get("scaling") {
-            let runtime = sc
-                .get("runtime")
-                .and_then(Value::as_str)
-                .ok_or("scaling.runtime missing or not a string")?
-                .to_string();
-            let mut series = Vec::new();
-            for p in sc
-                .get("series")
-                .and_then(Value::as_arr)
-                .ok_or("scaling.series missing or not an array")?
-            {
-                series.push(ScalePoint {
-                    workers: p
-                        .get("workers")
-                        .and_then(Value::as_u64)
-                        .ok_or("scaling point missing workers")?,
-                    tx_mpps: p
-                        .get("tx_mpps")
-                        .and_then(Value::as_f64)
-                        .ok_or("scaling point missing tx_mpps")?,
-                    tx_gbps: p
-                        .get("tx_gbps")
-                        .and_then(Value::as_f64)
-                        .ok_or("scaling point missing tx_gbps")?,
-                });
-            }
-            scaling = Some(ScalingSection { runtime, series });
-        }
-        // The audit sections are optional at every version: audited runs
-        // write them, plain runs and pre-v4 artifacts don't.
-        let mut offload_stages = None;
-        if let Some(st) = obj.get("offload_stages") {
-            let tasks = st
-                .get("tasks")
-                .and_then(Value::as_u64)
-                .ok_or("offload_stages.tasks missing or not an integer")?;
-            let mut stages = Vec::new();
-            for r in st
-                .get("stages")
-                .and_then(Value::as_arr)
-                .ok_or("offload_stages.stages missing or not an array")?
-            {
-                stages.push(StageRow {
-                    stage: r
-                        .get("stage")
-                        .and_then(Value::as_str)
-                        .ok_or("stage row missing name")?
-                        .to_string(),
-                    mean_ns: r
-                        .get("mean_ns")
-                        .and_then(Value::as_f64)
-                        .ok_or("stage row missing mean_ns")?,
-                    p99_ns: r
-                        .get("p99_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or("stage row missing p99_ns")?,
-                    total_ns: r
-                        .get("total_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or("stage row missing total_ns")?,
-                });
-            }
-            offload_stages = Some(OffloadStagesSection { tasks, stages });
-        }
-        let mut drift = None;
-        if let Some(d) = obj.get("drift") {
-            drift = Some(DriftSection {
-                tasks: d
-                    .get("tasks")
-                    .and_then(Value::as_u64)
-                    .ok_or("drift.tasks missing or not an integer")?,
-                rel_err: d
-                    .get("rel_err")
-                    .and_then(Value::as_f64)
-                    .ok_or("drift.rel_err missing or not a number")?,
-                events: d
-                    .get("events")
-                    .and_then(Value::as_u64)
-                    .ok_or("drift.events missing or not an integer")?,
-                worst_stage: match d.get("worst_stage") {
-                    Some(Value::Null) | None => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .ok_or("drift.worst_stage is not a string")?
-                            .to_string(),
-                    ),
-                },
-                worst_excess_ns: d
-                    .get("worst_excess_ns")
-                    .and_then(Value::as_f64)
-                    .ok_or("drift.worst_excess_ns missing or not a number")?,
-            });
-        }
-        let mut slo = None;
-        if let Some(sl) = obj.get("slo") {
-            let su = |k: &str| -> Result<u64, String> {
-                sl.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("slo.{k} missing or not an integer"))
-            };
-            let sf = |k: &str| -> Result<f64, String> {
-                sl.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("slo.{k} missing or not a number"))
-            };
-            slo = Some(SloSection {
-                latency_ns: match sl.get("latency_ns") {
-                    Some(Value::Null) | None => None,
-                    Some(v) => Some(v.as_u64().ok_or("slo.latency_ns is not an integer")?),
-                },
-                min_mpps: match sl.get("min_mpps") {
-                    Some(Value::Null) | None => None,
-                    Some(v) => Some(v.as_f64().ok_or("slo.min_mpps is not a number")?),
-                },
-                error_budget: sf("error_budget")?,
-                windows: su("windows")?,
-                latency_violations: su("latency_violations")?,
-                throughput_violations: su("throughput_violations")?,
-                latency_burn: sf("latency_burn")?,
-                throughput_burn: sf("throughput_burn")?,
-                met: matches!(sl.get("met"), Some(Value::Bool(true))),
-            });
-        }
-        let mut flows = None;
-        if let Some(fl) = obj.get("flows") {
-            let flu = |k: &str| -> Result<u64, String> {
-                fl.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("flows.{k} missing or not an integer"))
-            };
-            flows = Some(FlowsSection {
-                live: flu("live")?,
-                inserts: flu("inserts")?,
-                hits: flu("hits")?,
-                misses: flu("misses")?,
-                evict_idle: flu("evict_idle")?,
-                evict_embryonic: flu("evict_embryonic")?,
-                evict_closed: flu("evict_closed")?,
-                evict_death: flu("evict_death")?,
-                migrated_in: flu("migrated_in")?,
-                table_full_drops: flu("table_full_drops")?,
-                out_of_state_drops: flu("out_of_state_drops")?,
-                nat_ports_in_use: flu("nat_ports_in_use")?,
-            });
-        }
-        let mut elements = Vec::new();
-        for e in need("elements")?
-            .as_arr()
-            .ok_or("elements is not an array")?
-        {
-            let eu = |k: &str| -> Result<u64, String> {
-                e.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("element field '{k}' missing or not an integer"))
-            };
-            elements.push(ElementReport {
-                node: eu("node")?,
-                element: e
-                    .get("element")
-                    .and_then(Value::as_str)
-                    .ok_or("element missing name")?
-                    .to_string(),
-                batches: eu("batches")?,
-                packets: eu("packets")?,
-                drops: eu("drops")?,
-                busy_ns: eu("busy_ns")?,
-                p50_ns: eu("p50_ns")?,
-                p99_ns: eu("p99_ns")?,
-            });
-        }
-        Ok(BenchReport {
-            schema_version,
-            app: str_of("app")?,
-            git_sha: str_of("git_sha")?,
-            rustc: str_of("rustc")?,
-            config_digest: str_of("config_digest")?,
-            quick: matches!(need("quick")?, Value::Bool(true)),
-            duration_ns: u64_of("duration_ns")?,
-            offered_gbps: f64_of("offered_gbps")?,
-            tx_gbps: f64_of("tx_gbps")?,
-            tx_mpps: f64_of("tx_mpps")?,
-            rx_dropped: u64_of("rx_dropped")?,
-            latency: LatencySummary {
-                p50_ns: lat_u64("p50_ns")?,
-                p90_ns: lat_u64("p90_ns")?,
-                p99_ns: lat_u64("p99_ns")?,
-                p999_ns: lat_u64("p999_ns")?,
-                mean_ns: lat_u64("mean_ns")?,
-                max_ns: lat_u64("max_ns")?,
-                count: lat_u64("count")?,
-            },
-            balancer: BalancerReport {
-                final_w,
-                settle_ns,
-                trajectory,
-            },
-            faults,
-            elements,
-            scaling,
-            offload_stages,
-            drift,
-            slo,
-            flows,
-        })
+        BenchReport::decode(&v)
     }
 }
 
@@ -1137,57 +610,120 @@ fn rel_delta(base: f64, cur: f64) -> String {
     format!("{:+.1}%", (cur - base) / base * 100.0)
 }
 
+fn count_delta(base: u64, cur: u64) -> String {
+    format!("{:+}", i128::from(cur) - i128::from(base))
+}
+
+fn ok_if(ok: bool) -> Verdict {
+    if ok {
+        Verdict::Ok
+    } else {
+        Verdict::Regressed
+    }
+}
+
+fn row(
+    metric: &str,
+    baseline: String,
+    current: String,
+    delta: String,
+    allowed: &str,
+    verdict: Verdict,
+) -> CompareRow {
+    CompareRow {
+        metric: metric.to_string(),
+        baseline,
+        current,
+        delta,
+        allowed: allowed.to_string(),
+        verdict,
+    }
+}
+
+/// A context row: reported, never gates.
+fn info(metric: &str, baseline: String, current: String) -> CompareRow {
+    row(
+        metric,
+        baseline,
+        current,
+        "-".to_string(),
+        "-",
+        Verdict::Info,
+    )
+}
+
+/// A context row for a count.
+fn count_info(metric: &str, base: u64, cur: u64) -> CompareRow {
+    let (b, c) = (base.to_string(), cur.to_string());
+    row(metric, b, c, count_delta(base, cur), "-", Verdict::Info)
+}
+
 /// "Higher is better" gate (throughput).
 fn gate_floor(rows: &mut Vec<CompareRow>, metric: &str, base: f64, cur: f64, rel: f64) {
     let floor = base * (1.0 - rel);
-    rows.push(CompareRow {
-        metric: metric.to_string(),
-        baseline: format!("{base:.3}"),
-        current: format!("{cur:.3}"),
-        delta: rel_delta(base, cur),
-        allowed: format!("≥ {floor:.3}"),
-        verdict: if cur >= floor {
-            Verdict::Ok
-        } else {
-            Verdict::Regressed
-        },
-    });
+    let (b, c) = (format!("{base:.3}"), format!("{cur:.3}"));
+    let allowed = format!("≥ {floor:.3}");
+    rows.push(row(
+        metric,
+        b,
+        c,
+        rel_delta(base, cur),
+        &allowed,
+        ok_if(cur >= floor),
+    ));
 }
 
 /// "Lower is better" gate (latency), with absolute slack.
 fn gate_ceiling_ns(rows: &mut Vec<CompareRow>, metric: &str, base: u64, cur: u64, t: &Tolerances) {
     let ceil = (base as f64 * (1.0 + t.latency_rel)) + t.latency_abs_ns as f64;
-    rows.push(CompareRow {
-        metric: metric.to_string(),
-        baseline: format!("{base}ns"),
-        current: format!("{cur}ns"),
-        delta: rel_delta(base as f64, cur as f64),
-        allowed: format!("≤ {}ns", ceil as u64),
-        verdict: if (cur as f64) <= ceil {
-            Verdict::Ok
-        } else {
-            Verdict::Regressed
-        },
-    });
+    let (b, c) = (format!("{base}ns"), format!("{cur}ns"));
+    let delta = rel_delta(base as f64, cur as f64);
+    let allowed = format!("≤ {}ns", ceil as u64);
+    rows.push(row(
+        metric,
+        b,
+        c,
+        delta,
+        &allowed,
+        ok_if(cur as f64 <= ceil),
+    ));
+}
+
+/// Hygiene gate: against a clean (zero) baseline, the normal CI case, any
+/// count is a regression. When the baseline itself ran a drill the counts
+/// are experiment parameters, so they only inform.
+fn gate_zero(rows: &mut Vec<CompareRow>, metric: &str, base: u64, cur: u64) {
+    let (allowed, verdict) = match base {
+        0 => ("0", ok_if(cur == 0)),
+        _ => ("-", Verdict::Info),
+    };
+    let (b, c) = (base.to_string(), cur.to_string());
+    rows.push(row(metric, b, c, count_delta(base, cur), allowed, verdict));
+}
+
+/// Warns when only one of the two reports carries a section.
+fn one_sided(warnings: &mut Vec<String>, what: &str, base: bool, cur: bool) {
+    match (base, cur) {
+        (true, false) => warnings.push(format!("baseline has {what} but current report does not")),
+        (false, true) => warnings.push(format!("current report has {what} but baseline does not")),
+        _ => {}
+    }
 }
 
 /// Diffs `cur` against `base` under `tol`, producing the verdict table.
 ///
 /// Gated: `tx_gbps`, `tx_mpps` (floor), end-to-end `p50/p99/p999` latency
-/// (ceiling), and the balancer's `final_w` (absolute band). Context-only:
-/// RX drops, settle time, per-element counts. App mismatch is itself a
-/// regression — the diff would be meaningless.
+/// (ceiling), the balancer's `final_w` (absolute band), fault and flow
+/// hygiene counters (zero against a clean baseline), per-worker scaling
+/// points and live-flow occupancy (floor). Context-only: SLO burn rates,
+/// drift events, RX drops, settle time, other flow counts. App mismatch is
+/// itself a regression — the diff would be meaningless.
 pub fn compare(base: &BenchReport, cur: &BenchReport, tol: &Tolerances) -> Comparison {
     let mut c = Comparison::default();
     if base.app != cur.app {
-        c.rows.push(CompareRow {
-            metric: "app".to_string(),
-            baseline: base.app.clone(),
-            current: cur.app.clone(),
-            delta: "-".to_string(),
-            allowed: "equal".to_string(),
-            verdict: Verdict::Regressed,
-        });
+        let (b, a, dash) = (base.app.clone(), cur.app.clone(), "-".to_string());
+        c.rows
+            .push(row("app", b, a, dash, "equal", Verdict::Regressed));
         return c;
     }
     if base.config_digest != cur.config_digest {
@@ -1203,268 +739,131 @@ pub fn compare(base: &BenchReport, cur: &BenchReport, tol: &Tolerances) -> Compa
         ));
     }
 
-    gate_floor(
-        &mut c.rows,
-        "tx_gbps",
-        base.tx_gbps,
-        cur.tx_gbps,
-        tol.throughput_rel,
-    );
-    gate_floor(
-        &mut c.rows,
-        "tx_mpps",
-        base.tx_mpps,
-        cur.tx_mpps,
-        tol.throughput_rel,
-    );
-    gate_ceiling_ns(
-        &mut c.rows,
-        "latency_p50",
-        base.latency.p50_ns,
-        cur.latency.p50_ns,
-        tol,
-    );
-    gate_ceiling_ns(
-        &mut c.rows,
-        "latency_p99",
-        base.latency.p99_ns,
-        cur.latency.p99_ns,
-        tol,
-    );
-    gate_ceiling_ns(
-        &mut c.rows,
-        "latency_p999",
-        base.latency.p999_ns,
-        cur.latency.p999_ns,
-        tol,
-    );
-    let dw = (cur.balancer.final_w - base.balancer.final_w).abs();
-    c.rows.push(CompareRow {
-        metric: "final_w".to_string(),
-        baseline: format!("{:.3}", base.balancer.final_w),
-        current: format!("{:.3}", cur.balancer.final_w),
-        delta: format!("{:+.3}", cur.balancer.final_w - base.balancer.final_w),
-        allowed: format!("±{:.3}", tol.w_abs),
-        verdict: if dw <= tol.w_abs {
-            Verdict::Ok
-        } else {
-            Verdict::Regressed
-        },
-    });
-
-    // Fault hygiene: against a clean baseline (the normal CI case) any
-    // injected fault, contained panic, or fault-dropped packet is a
-    // regression. When the baseline itself ran a fault drill the counts
-    // are experiment parameters, so they only inform.
-    let fault_gate = |rows: &mut Vec<CompareRow>, metric: &str, base_v: u64, cur_v: u64| {
-        let gates = base_v == 0;
-        rows.push(CompareRow {
-            metric: metric.to_string(),
-            baseline: base_v.to_string(),
-            current: cur_v.to_string(),
-            delta: format!("{:+}", cur_v as i128 - base_v as i128),
-            allowed: if gates {
-                "0".to_string()
-            } else {
-                "-".to_string()
-            },
-            verdict: if !gates {
-                Verdict::Info
-            } else if cur_v == 0 {
-                Verdict::Ok
-            } else {
-                Verdict::Regressed
-            },
-        });
-    };
-    fault_gate(
-        &mut c.rows,
-        "faults_injected",
-        base.faults.injected,
-        cur.faults.injected,
-    );
-    fault_gate(
-        &mut c.rows,
-        "fault_dropped_pkts",
-        base.faults.dropped_packets,
-        cur.faults.dropped_packets,
-    );
-    fault_gate(
-        &mut c.rows,
-        "panics_contained",
-        base.faults.panics_contained,
-        cur.faults.panics_contained,
-    );
-
-    // Scaling sweep: gate each worker count's throughput against the
-    // same worker count in the baseline (floor, like the headline
-    // metrics). Points only one side has are reported as warnings — the
-    // sweeps describe different experiments.
-    match (&base.scaling, &cur.scaling) {
-        (Some(b), Some(cu)) => {
-            if b.runtime != cu.runtime {
-                c.warnings.push(format!(
-                    "scaling runtime changed ({} -> {})",
-                    b.runtime, cu.runtime
-                ));
-            }
-            for bp in &b.series {
-                match cu.series.iter().find(|p| p.workers == bp.workers) {
-                    Some(cp) => gate_floor(
-                        &mut c.rows,
-                        &format!("scale_w{}_mpps", bp.workers),
-                        bp.tx_mpps,
-                        cp.tx_mpps,
-                        tol.throughput_rel,
-                    ),
-                    None => c.warnings.push(format!(
-                        "scaling point workers={} missing from current report",
-                        bp.workers
-                    )),
-                }
-            }
-            for cp in &cu.series {
-                if !b.series.iter().any(|p| p.workers == cp.workers) {
-                    c.warnings.push(format!(
-                        "scaling point workers={} has no baseline",
-                        cp.workers
-                    ));
-                }
-            }
-        }
-        (Some(_), None) => c
-            .warnings
-            .push("baseline has a scaling sweep but current report does not".to_string()),
-        (None, Some(_)) => c
-            .warnings
-            .push("current report has a scaling sweep but baseline does not".to_string()),
-        (None, None) => {}
+    let rows = &mut c.rows;
+    let thr = tol.throughput_rel;
+    gate_floor(rows, "tx_gbps", base.tx_gbps, cur.tx_gbps, thr);
+    gate_floor(rows, "tx_mpps", base.tx_mpps, cur.tx_mpps, thr);
+    let (bl, cl) = (&base.latency, &cur.latency);
+    gate_ceiling_ns(rows, "latency_p50", bl.p50_ns, cl.p50_ns, tol);
+    gate_ceiling_ns(rows, "latency_p99", bl.p99_ns, cl.p99_ns, tol);
+    gate_ceiling_ns(rows, "latency_p999", bl.p999_ns, cl.p999_ns, tol);
+    let (bw, cw) = (base.balancer.final_w, cur.balancer.final_w);
+    rows.push(row(
+        "final_w",
+        format!("{bw:.3}"),
+        format!("{cw:.3}"),
+        format!("{:+.3}", cw - bw),
+        &format!("±{:.3}", tol.w_abs),
+        ok_if((cw - bw).abs() <= tol.w_abs),
+    ));
+    let (bf, cf) = (&base.faults, &cur.faults);
+    for (metric, b, a) in [
+        ("faults_injected", bf.injected, cf.injected),
+        ("fault_dropped_pkts", bf.dropped_packets, cf.dropped_packets),
+        ("panics_contained", bf.panics_contained, cf.panics_contained),
+    ] {
+        gate_zero(rows, metric, b, a);
     }
 
+    // Scaling sweep: gate each worker count's throughput against the
+    // same worker count in the baseline. Points only one side has are
+    // warnings — the sweeps describe different experiments.
+    if let (Some(b), Some(cu)) = (&base.scaling, &cur.scaling) {
+        if b.runtime != cu.runtime {
+            let msg = format!("scaling runtime changed ({} -> {})", b.runtime, cu.runtime);
+            c.warnings.push(msg);
+        }
+        for bp in &b.series {
+            match cu.series.iter().find(|p| p.workers == bp.workers) {
+                Some(cp) => {
+                    let metric = format!("scale_w{}_mpps", bp.workers);
+                    gate_floor(rows, &metric, bp.tx_mpps, cp.tx_mpps, thr);
+                }
+                None => c.warnings.push(format!(
+                    "scaling point workers={} missing from current report",
+                    bp.workers
+                )),
+            }
+        }
+        for cp in &cu.series {
+            if !b.series.iter().any(|p| p.workers == cp.workers) {
+                let msg = format!("scaling point workers={} has no baseline", cp.workers);
+                c.warnings.push(msg);
+            }
+        }
+    }
+    let (bs, cs) = (base.scaling.is_some(), cur.scaling.is_some());
+    one_sided(&mut c.warnings, "a scaling sweep", bs, cs);
+
     // Stateful flow plane: live-flow occupancy is a capacity claim, so it
-    // gates like throughput (floor). The hygiene counters gate like fault
-    // counters: against a clean baseline (zero), any table-full drop,
-    // death eviction, or out-of-state drop is a regression; when the
-    // baseline itself had them they were experiment parameters and only
-    // inform. Everything else is context.
-    match (&base.flows, &cur.flows) {
-        (Some(b), Some(cu)) => {
-            gate_floor(
-                &mut c.rows,
-                "flows_live",
-                b.live as f64,
-                cu.live as f64,
-                tol.throughput_rel,
-            );
-            fault_gate(
-                &mut c.rows,
+    // gates like throughput (floor); table-full drops, death evictions and
+    // out-of-state drops gate like fault counters. Everything else is
+    // context.
+    if let (Some(b), Some(cu)) = (&base.flows, &cur.flows) {
+        gate_floor(rows, "flows_live", b.live as f64, cu.live as f64, thr);
+        for (metric, bv, cv) in [
+            (
                 "flow_table_full_drops",
                 b.table_full_drops,
                 cu.table_full_drops,
-            );
-            fault_gate(
-                &mut c.rows,
-                "flow_evict_death",
-                b.evict_death,
-                cu.evict_death,
-            );
-            fault_gate(
-                &mut c.rows,
+            ),
+            ("flow_evict_death", b.evict_death, cu.evict_death),
+            (
                 "flow_out_of_state_drops",
                 b.out_of_state_drops,
                 cu.out_of_state_drops,
-            );
-            for (metric, bv, cv) in [
-                ("flow_inserts", b.inserts, cu.inserts),
-                ("flow_evictions", b.evictions_total(), cu.evictions_total()),
-                ("flow_migrated_in", b.migrated_in, cu.migrated_in),
-                ("nat_ports_in_use", b.nat_ports_in_use, cu.nat_ports_in_use),
-            ] {
-                c.rows.push(CompareRow {
-                    metric: metric.to_string(),
-                    baseline: bv.to_string(),
-                    current: cv.to_string(),
-                    delta: format!("{:+}", cv as i128 - bv as i128),
-                    allowed: "-".to_string(),
-                    verdict: Verdict::Info,
-                });
-            }
+            ),
+        ] {
+            gate_zero(rows, metric, bv, cv);
         }
-        (Some(_), None) => c
-            .warnings
-            .push("baseline has a flows section but current report does not".to_string()),
-        (None, Some(_)) => c
-            .warnings
-            .push("current report has a flows section but baseline does not".to_string()),
-        (None, None) => {}
+        for (metric, bv, cv) in [
+            ("flow_inserts", b.inserts, cu.inserts),
+            ("flow_evictions", b.evictions_total(), cu.evictions_total()),
+            ("flow_migrated_in", b.migrated_in, cu.migrated_in),
+            ("nat_ports_in_use", b.nat_ports_in_use, cu.nat_ports_in_use),
+        ] {
+            rows.push(count_info(metric, bv, cv));
+        }
     }
+    let (bs, cs) = (base.flows.is_some(), cur.flows.is_some());
+    one_sided(&mut c.warnings, "a flows section", bs, cs);
 
     // Audit-plane context: SLO burn rates and drift events inform but
     // never gate — they describe budgets and model fit, not regressions
     // the throughput/latency gates wouldn't already catch.
-    let opt_f64 = |v: Option<f64>| match v {
-        Some(x) => format!("{x:.3}"),
-        None => "-".to_string(),
-    };
     if base.slo.is_some() || cur.slo.is_some() {
+        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.3}"));
+        let (b, c) = (base.slo.as_ref(), cur.slo.as_ref());
         for (metric, bv, cv) in [
             (
                 "slo_latency_burn",
-                base.slo.as_ref().map(|s| s.latency_burn),
-                cur.slo.as_ref().map(|s| s.latency_burn),
+                b.map(|s| s.latency_burn),
+                c.map(|s| s.latency_burn),
             ),
             (
                 "slo_throughput_burn",
-                base.slo.as_ref().map(|s| s.throughput_burn),
-                cur.slo.as_ref().map(|s| s.throughput_burn),
+                b.map(|s| s.throughput_burn),
+                c.map(|s| s.throughput_burn),
             ),
         ] {
-            c.rows.push(CompareRow {
-                metric: metric.to_string(),
-                baseline: opt_f64(bv),
-                current: opt_f64(cv),
-                delta: "-".to_string(),
-                allowed: "-".to_string(),
-                verdict: Verdict::Info,
-            });
+            rows.push(info(metric, fmt(bv), fmt(cv)));
         }
     }
     if base.drift.is_some() || cur.drift.is_some() {
-        let fmt = |d: Option<&DriftSection>| match d {
-            Some(d) => format!("{} (err {:.3})", d.events, d.rel_err),
-            None => "-".to_string(),
+        let fmt = |d: &Option<DriftReport>| {
+            d.as_ref().map_or("-".to_string(), |d| {
+                format!("{} (err {:.3})", d.events, d.rel_err)
+            })
         };
-        c.rows.push(CompareRow {
-            metric: "drift_events".to_string(),
-            baseline: fmt(base.drift.as_ref()),
-            current: fmt(cur.drift.as_ref()),
-            delta: "-".to_string(),
-            allowed: "-".to_string(),
-            verdict: Verdict::Info,
-        });
+        rows.push(info("drift_events", fmt(&base.drift), fmt(&cur.drift)));
     }
-
-    // Context rows: never gate.
-    c.rows.push(CompareRow {
-        metric: "rx_dropped".to_string(),
-        baseline: base.rx_dropped.to_string(),
-        current: cur.rx_dropped.to_string(),
-        delta: format!("{:+}", cur.rx_dropped as i128 - base.rx_dropped as i128),
-        allowed: "-".to_string(),
-        verdict: Verdict::Info,
-    });
-    let fmt_settle = |s: Option<u64>| match s {
-        Some(ns) => format!("{ns}ns"),
-        None => "never".to_string(),
-    };
-    c.rows.push(CompareRow {
-        metric: "settle".to_string(),
-        baseline: fmt_settle(base.balancer.settle_ns),
-        current: fmt_settle(cur.balancer.settle_ns),
-        delta: "-".to_string(),
-        allowed: "-".to_string(),
-        verdict: Verdict::Info,
-    });
+    rows.push(count_info("rx_dropped", base.rx_dropped, cur.rx_dropped));
+    let settle = |s: Option<u64>| s.map_or("never".to_string(), |ns| format!("{ns}ns"));
+    let (b, a) = (
+        settle(base.balancer.settle_ns),
+        settle(cur.balancer.settle_ns),
+    );
+    rows.push(info("settle", b, a));
     if base.elements.len() != cur.elements.len() {
         c.warnings.push(format!(
             "element count changed ({} -> {})",
@@ -1481,7 +880,6 @@ mod tests {
 
     fn sample() -> BenchReport {
         BenchReport {
-            schema_version: SCHEMA_VERSION,
             app: "ipv4".to_string(),
             git_sha: "deadbeef".to_string(),
             rustc: "rustc 1.0 \"quoted\"".to_string(),
@@ -1603,7 +1001,7 @@ mod tests {
                 },
             ],
         });
-        r.drift = Some(DriftSection {
+        r.drift = Some(DriftReport {
             tasks: 42,
             rel_err: 0.75,
             events: 1,
@@ -1611,9 +1009,11 @@ mod tests {
             worst_excess_ns: 1_000_000.0,
         });
         r.slo = Some(SloSection {
-            latency_ns: Some(500_000),
-            min_mpps: None,
-            error_budget: 0.05,
+            cfg: SloConfig {
+                latency_ns: Some(500_000),
+                min_mpps: None,
+                error_budget: 0.05,
+            },
             windows: 25,
             latency_violations: 3,
             throughput_violations: 0,
@@ -1631,8 +1031,8 @@ mod tests {
         assert!(rendered.contains("drift_events"), "{rendered}");
     }
 
-    fn sample_flows() -> FlowsSection {
-        FlowsSection {
+    fn sample_flows() -> FlowShardSnapshot {
+        FlowShardSnapshot {
             live: 4096,
             inserts: 4096,
             hits: 1_000_000,
@@ -1677,9 +1077,9 @@ mod tests {
         let mut base = sample();
         base.flows = Some(sample_flows());
         for tweak in [
-            |f: &mut FlowsSection| f.table_full_drops = 1,
-            |f: &mut FlowsSection| f.evict_death = 7,
-            |f: &mut FlowsSection| f.out_of_state_drops = 3,
+            |f: &mut FlowShardSnapshot| f.table_full_drops = 1,
+            |f: &mut FlowShardSnapshot| f.evict_death = 7,
+            |f: &mut FlowShardSnapshot| f.out_of_state_drops = 3,
         ] {
             let mut cur = base.clone();
             tweak(cur.flows.as_mut().unwrap());
@@ -1755,18 +1155,49 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_v1_artifacts_with_zero_fault_defaults() {
-        // A version-1 artifact: no `faults` section at all.
-        let mut text = sample().to_json().replace(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            "\"schema_version\": 1",
-        );
-        let start = text.find("  \"faults\": {").unwrap();
-        let end = text[start..].find("},\n").unwrap() + start + 3;
-        text.replace_range(start..end, "");
-        let parsed = BenchReport::parse(&text).unwrap();
-        assert_eq!(parsed.schema_version, 1);
-        assert_eq!(parsed.faults, FaultsSection::default());
+    fn parse_rejects_wrong_typed_or_missing_booleans() {
+        let mut r = sample();
+        r.slo = Some(SloSection {
+            cfg: SloConfig::default(),
+            windows: 1,
+            latency_violations: 0,
+            throughput_violations: 0,
+            latency_burn: 0.0,
+            throughput_burn: 0.0,
+            met: true,
+        });
+        let text = r.to_json();
+        assert_eq!(BenchReport::parse(&text).unwrap(), r);
+        for (from, to) in [
+            ("\"quick\": true", "\"quick\": \"true\""),
+            ("\"quick\": true,", ""),
+            ("\"met\": true", "\"met\": 1"),
+            ("\"met\": true,", ""),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from} not found in\n{text}");
+            let err = BenchReport::parse(&bad).unwrap_err();
+            assert!(err.contains("quick") || err.contains("met"), "{err}");
+        }
+    }
+
+    /// Every checked-in baseline is in the canonical form the writer
+    /// produces: parsing and re-serializing it changes no byte.
+    #[test]
+    fn baselines_round_trip_byte_for_byte() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baselines");
+        let mut n = 0;
+        for entry in std::fs::read_dir(dir).expect("baselines directory") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let report =
+                    BenchReport::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert_eq!(report.to_json(), text, "{}", path.display());
+                n += 1;
+            }
+        }
+        assert_eq!(n, 6, "expected the six checked-in baselines");
     }
 
     #[test]

@@ -186,23 +186,17 @@ impl FaultSnapshot {
     }
 
     /// Renders the snapshot as a flat JSON object (the stats endpoint's
-    /// `faults` block and the flight-recorder dump; dependency-free).
+    /// `faults` block and the flight-recorder dump).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"injected_timeout\":{},\"injected_transient\":{},\"injected_corrupt\":{},\"injected_dead\":{},\"retried\":{},\"fell_back_batches\":{},\"fell_back_packets\":{},\"dropped_batches\":{},\"dropped_packets\":{},\"panics_contained\":{},\"quarantine_entered\":{},\"quarantine_exited\":{}}}",
-            self.injected_timeout,
-            self.injected_transient,
-            self.injected_corrupt,
-            self.injected_dead,
-            self.retried,
-            self.fell_back_batches,
-            self.fell_back_packets,
-            self.dropped_batches,
-            self.dropped_packets,
-            self.panics_contained,
-            self.quarantine_entered,
-            self.quarantine_exited,
-        )
+        crate::json::Json::encode(self).to_string()
+    }
+}
+
+crate::json_struct! {
+    FaultSnapshot {
+        injected_timeout, injected_transient, injected_corrupt, injected_dead, retried,
+        fell_back_batches, fell_back_packets, dropped_batches, dropped_packets,
+        panics_contained, quarantine_entered, quarantine_exited,
     }
 }
 

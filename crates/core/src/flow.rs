@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::{self, Value};
+use crate::journal::{Journal, Record};
 use crate::nls::NodeLocalStorage;
 
 /// Flow buckets per shard — one sub-table per RSS indirection bucket, so
@@ -653,49 +653,31 @@ pub struct FlowOp {
     pub value: u64,
 }
 
-impl FlowOp {
-    fn to_json_line(self) -> String {
-        // The key digest is a full 64-bit value: hex-string encoded, since
-        // JSON numbers (f64) only carry 53 bits exactly.
+crate::json_enum!(FlowOpKind);
+
+// The key digest is a full 64-bit value, so it travels as a bit pattern.
+crate::json_struct! { FlowOp { shard, bucket, bseq, epoch, op, value } bits { key_digest } }
+
+impl Record for FlowOp {
+    const KIND: &'static str = "nba-flow-ops";
+    type Meta = ();
+
+    /// All-integer records, so this is plain equality.
+    fn bit_eq(&self, other: &FlowOp) -> bool {
+        self == other
+    }
+
+    fn explain(&self) -> String {
         format!(
-            "{{\"shard\":{},\"bucket\":{},\"bseq\":{},\"epoch\":{},\"op\":\"{}\",\
-             \"key\":\"{:016x}\",\"value\":{}}}",
+            "shard {} bucket {} #{} epoch {}: {} key={:016x} value={}",
             self.shard,
             self.bucket,
             self.bseq,
             self.epoch,
             self.op.as_str(),
             self.key_digest,
-            self.value,
+            self.value
         )
-    }
-
-    fn from_json(v: &Value) -> Result<FlowOp, String> {
-        let key = str_field(v, "key")?;
-        let key_digest = u64::from_str_radix(key, 16).map_err(|e| format!("field `key`: {e}"))?;
-        Ok(FlowOp {
-            shard: u64_field(v, "shard")? as u32,
-            bucket: u64_field(v, "bucket")? as u16,
-            bseq: u64_field(v, "bseq")?,
-            epoch: u64_field(v, "epoch")?,
-            op: FlowOpKind::parse(str_field(v, "op")?)?,
-            key_digest,
-            value: u64_field(v, "value")?,
-        })
-    }
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        other => Err(format!("field `{key}`: expected integer, got {other:?}")),
-    }
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    match v.get(key) {
-        Some(Value::Str(s)) => Ok(s),
-        other => Err(format!("field `{key}`: expected string, got {other:?}")),
     }
 }
 
@@ -714,21 +696,12 @@ pub struct FlowReplay {
 }
 
 /// The explicit flow-op journal: an append-only record of every insert /
-/// hit / evict / migrate / invalidate, replayable offline and JSONL
-/// round-trippable — the flow plane's [`crate::supervise::SupervisorLog`].
-#[derive(Debug, Clone, Default)]
-pub struct FlowOpsLog {
-    /// The ops, in per-shard execution order (shards concatenated in
-    /// worker order).
-    pub ops: Vec<FlowOp>,
-}
+/// hit / evict / migrate / invalidate, replayable offline. Unbounded; the
+/// ops are in per-shard execution order (shards concatenated in worker
+/// order).
+pub type FlowOpsLog = Journal<FlowOp>;
 
 impl FlowOpsLog {
-    /// Bit-exact equality (all-integer records).
-    pub fn bit_eq(&self, other: &FlowOpsLog) -> bool {
-        self.ops == other.ops
-    }
-
     /// A runtime-independent canonical ordering: ops sorted by
     /// `(bucket, bseq)`. Within one bucket the packet sequence — and so
     /// the op sequence — is invariant across DES/live(1)/live(N), while
@@ -737,45 +710,9 @@ impl FlowOpsLog {
     /// last. Clean runs of the same workload must agree canonically on
     /// every runtime; that is asserted by the differential suite.
     pub fn canonical(&self) -> Vec<FlowOp> {
-        let mut ops = self.ops.clone();
+        let mut ops = self.events.clone();
         ops.sort_by_key(|o| (o.bucket, o.bseq, o.key_digest));
         ops
-    }
-
-    /// Serializes to JSON lines (header first, one op per line).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"nba-flow-ops\",\"version\":1,\"ops\":{}}}\n",
-            self.ops.len()
-        );
-        for op in &self.ops {
-            out.push_str(&op.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses [`FlowOpsLog::to_jsonl`] output.
-    pub fn from_jsonl(s: &str) -> Result<FlowOpsLog, String> {
-        let mut lines = s.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty flow-ops log")?;
-        let h = json::parse(header).map_err(|e| format!("bad header: {e:?}"))?;
-        if str_field(&h, "schema")? != "nba-flow-ops" {
-            return Err("not a flow-ops log".into());
-        }
-        let declared = u64_field(&h, "ops")?;
-        let mut ops = Vec::new();
-        for line in lines {
-            let v = json::parse(line).map_err(|e| format!("bad op: {e:?}"))?;
-            ops.push(FlowOp::from_json(&v)?);
-        }
-        if ops.len() as u64 != declared {
-            return Err(format!(
-                "header declares {declared} ops, found {}",
-                ops.len()
-            ));
-        }
-        Ok(FlowOpsLog { ops })
     }
 
     /// Replays the journal: tracks each shard's live set through inserts,
@@ -785,7 +722,7 @@ impl FlowOpsLog {
     pub fn replay(&self) -> Result<FlowReplay, String> {
         let mut out = FlowReplay::default();
         let mut last_bseq: BTreeMap<(u32, u16), u64> = BTreeMap::new();
-        for (i, op) in self.ops.iter().enumerate() {
+        for (i, op) in self.events.iter().enumerate() {
             if op.op != FlowOpKind::Invalidate {
                 let k = (op.shard, op.bucket);
                 let prev = last_bseq.get(&k).copied().unwrap_or(0);
@@ -918,6 +855,13 @@ impl FlowShardSnapshot {
     /// Evictions across every reason.
     pub fn evictions_total(&self) -> u64 {
         self.evict_idle + self.evict_embryonic + self.evict_closed + self.evict_death
+    }
+}
+
+crate::json_struct! {
+    FlowShardSnapshot {
+        inserts, hits, misses, evict_idle, evict_embryonic, evict_closed, evict_death,
+        migrated_in, table_full_drops, out_of_state_drops, live, nat_ports_in_use,
     }
 }
 
@@ -1109,7 +1053,7 @@ impl FlowRegistry {
             report.shards.insert(*w, slot.stats.snapshot());
             report
                 .journal
-                .ops
+                .events
                 .extend(slot.journal.lock().expect("flow journal").iter().copied());
         }
         Some(report)

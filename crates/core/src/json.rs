@@ -1,15 +1,21 @@
-//! A minimal JSON parser for the telemetry/bench tooling.
+//! A minimal JSON parser, writer and typed codec for the telemetry/bench
+//! tooling.
 //!
 //! The workspace is dependency-free by design, but the bench pipeline needs
-//! to *read* JSON back: `nba-bench compare` parses `BENCH_*.json` reports,
-//! and tests validate exporter output (JSONL, Chrome traces). This module
-//! implements just enough of RFC 8259 for those uses: the full value
-//! grammar, string escapes (including `\uXXXX` with surrogate pairs), and
-//! numbers parsed as `f64`.
+//! to read and write JSON: `BENCH_*.json` reports, the replayable JSONL
+//! journals ([`crate::journal`]), and exporter output checked by tests.
+//! This module implements just enough of RFC 8259 for those uses: the full
+//! value grammar, string escapes (including `\uXXXX` with surrogate pairs),
+//! and numbers parsed as `f64`.
 //!
 //! It is a *strict* parser — trailing garbage, trailing commas, unquoted
 //! keys, and control characters inside strings are errors — so round-trip
 //! tests against our own serializers also guard the serializers.
+//!
+//! Writing goes through [`Value`]'s `Display`: `{}` is compact (one JSONL
+//! line), `{:#}` is indented (a `BENCH_*.json` file). The [`Json`] trait
+//! gives a type one encoding used both ways, and [`json_struct!`] derives
+//! it from a list that names each field once.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -358,6 +364,305 @@ impl Parser<'_> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+/// Compact JSON with `{}`; with `{:#}`, two-space indentation where a
+/// container holds another container (scalar-only containers stay on one
+/// line). Non-finite numbers are written as `0`: JSON has no NaN/Infinity.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let indent = f.alternate().then_some(0);
+        write_value(f, self, indent)
+    }
+}
+
+fn write_value(out: &mut dyn fmt::Write, v: &Value, indent: Option<usize>) -> fmt::Result {
+    match v {
+        Value::Null => out.write_str("null"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Num(n) if n.is_finite() => write!(out, "{n}"),
+        Value::Num(_) => out.write_str("0"),
+        Value::Str(s) => write!(out, "\"{}\"", crate::telemetry::json_escape(s)),
+        Value::Arr(a) => write_seq(out, "[]", a.iter().map(|v| (None, v)), indent),
+        Value::Obj(m) => write_seq(out, "{}", m.iter().map(|(k, v)| (Some(k), v)), indent),
+    }
+}
+
+fn write_seq<'a>(
+    out: &mut dyn fmt::Write,
+    brackets: &str,
+    items: impl Iterator<Item = (Option<&'a String>, &'a Value)> + Clone,
+    indent: Option<usize>,
+) -> fmt::Result {
+    // Pretty mode breaks lines only around nested non-empty containers.
+    let nested = indent.filter(|_| {
+        items.clone().any(|(_, v)| match v {
+            Value::Arr(a) => !a.is_empty(),
+            Value::Obj(m) => !m.is_empty(),
+            _ => false,
+        })
+    });
+    let (comma, colon) = match (indent, nested) {
+        (None, _) => (",", ":"),
+        (Some(_), None) => (", ", ": "),
+        (Some(_), Some(_)) => (",", ": "),
+    };
+    out.write_str(&brackets[..1])?;
+    for (i, (k, v)) in items.enumerate() {
+        if i > 0 {
+            out.write_str(comma)?;
+        }
+        if let Some(d) = nested {
+            write!(out, "\n{:w$}", "", w = 2 * d + 2)?;
+        }
+        if let Some(k) = k {
+            write!(out, "\"{}\"{colon}", crate::telemetry::json_escape(k))?;
+        }
+        write_value(out, v, indent.map(|d| d + 1))?;
+    }
+    if let Some(d) = nested {
+        write!(out, "\n{:w$}", "", w = 2 * d)?;
+    }
+    out.write_str(&brackets[1..])
+}
+
+// ---------------------------------------------------------------------------
+// Typed codec
+// ---------------------------------------------------------------------------
+
+/// A type with one JSON encoding, used both to write and to read it.
+pub trait Json: Sized {
+    /// This value as JSON.
+    fn encode(&self) -> Value;
+    /// Reads [`Json::encode`] output back; wrong types are errors, never
+    /// coerced.
+    fn decode(v: &Value) -> Result<Self, String>;
+}
+
+fn expected(what: &str, v: &Value) -> String {
+    format!("expected {what}, got {v}")
+}
+
+macro_rules! json_uint {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn encode(&self) -> Value {
+                Value::Num(*self as f64)
+            }
+            fn decode(v: &Value) -> Result<$t, String> {
+                v.as_u64()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| expected(concat!("an integer in ", stringify!($t)), v))
+            }
+        }
+    )*};
+}
+
+json_uint!(u16, u32, u64, usize);
+
+impl Json for f64 {
+    fn encode(&self) -> Value {
+        Value::Num(*self)
+    }
+    fn decode(v: &Value) -> Result<f64, String> {
+        v.as_f64().ok_or_else(|| expected("a number", v))
+    }
+}
+
+impl Json for bool {
+    fn encode(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn decode(v: &Value) -> Result<bool, String> {
+        v.as_bool().ok_or_else(|| expected("a boolean", v))
+    }
+}
+
+impl Json for String {
+    fn encode(&self) -> Value {
+        Value::Str(self.clone())
+    }
+    fn decode(v: &Value) -> Result<String, String> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| expected("a string", v))
+    }
+}
+
+/// `None` is `null`.
+impl<T: Json> Json for Option<T> {
+    fn encode(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::encode)
+    }
+    fn decode(v: &Value) -> Result<Option<T>, String> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::decode(v).map(Some),
+        }
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn encode(&self) -> Value {
+        Value::Arr(self.iter().map(T::encode).collect())
+    }
+    fn decode(v: &Value) -> Result<Vec<T>, String> {
+        let items = v.as_arr().ok_or_else(|| expected("an array", v))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| T::decode(x).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
+/// No fields: the empty object.
+impl Json for () {
+    fn encode(&self) -> Value {
+        Value::Obj(BTreeMap::new())
+    }
+    fn decode(_: &Value) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: Json, B: Json> Json for (A, B) {
+    fn encode(&self) -> Value {
+        Value::Arr(vec![self.0.encode(), self.1.encode()])
+    }
+    fn decode(v: &Value) -> Result<(A, B), String> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::decode(a)?, B::decode(b)?)),
+            _ => Err(expected("a pair", v)),
+        }
+    }
+}
+
+/// A value that travels bit-exactly as its 64-bit pattern, written as a
+/// 16-digit hex string because a JSON number carries only 53 bits: key
+/// digests, `f64`s (NaN and infinities included) and picosecond times.
+pub trait Bits: Copy {
+    /// The bit pattern.
+    fn bits(self) -> u64;
+    /// Inverse of [`Bits::bits`].
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl Bits for u64 {
+    fn bits(self) -> u64 {
+        self
+    }
+    fn from_bits(bits: u64) -> u64 {
+        bits
+    }
+}
+
+impl Bits for f64 {
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn from_bits(bits: u64) -> f64 {
+        f64::from_bits(bits)
+    }
+}
+
+impl Bits for nba_sim::Time {
+    fn bits(self) -> u64 {
+        self.as_ps()
+    }
+    fn from_bits(bits: u64) -> nba_sim::Time {
+        nba_sim::Time::from_ps(bits)
+    }
+}
+
+/// `x` as its [`Bits`] hex pattern.
+pub fn bits_value<T: Bits>(x: T) -> Value {
+    Value::Str(format!("{:016x}", x.bits()))
+}
+
+/// The typed field `key` of object `v`; a missing key is an error.
+pub fn field<T: Json>(v: &Value, key: &str) -> Result<T, String> {
+    let m = v.as_obj().ok_or_else(|| expected("an object", v))?;
+    let x = m.get(key).ok_or_else(|| format!("missing field '{key}'"))?;
+    T::decode(x).map_err(|e| format!("{key}: {e}"))
+}
+
+/// The typed field `key` of object `v`, or `None` when the key is absent.
+pub fn opt_field<T: Json>(v: &Value, key: &str) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|x| T::decode(x).map_err(|e| format!("{key}: {e}")))
+        .transpose()
+}
+
+/// The [`Bits`] field `key` of object `v`, read back from its hex pattern.
+pub fn bits_field<T: Bits>(v: &Value, key: &str) -> Result<T, String> {
+    let hex: String = field(v, key)?;
+    match u64::from_str_radix(&hex, 16) {
+        Ok(bits) if hex.len() == 16 => Ok(T::from_bits(bits)),
+        _ => Err(format!("{key}: expected 16 hex digits, got {hex:?}")),
+    }
+}
+
+/// Implements [`Json`] for a struct as an object keyed by its field names,
+/// each named once:
+///
+/// ```text
+/// json_struct! { T { a, b } bits { c } omit_none { d } flatten { e } }
+/// ```
+///
+/// `bits` fields travel as [`Bits`] hex patterns; `omit_none` fields are
+/// `Option`s whose key is left out when `None`; `flatten` fields write
+/// their own keys into this object and read them back from it.
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ty { $($f:ident),* $(,)? }
+     $(bits { $($b:ident),* $(,)? })?
+     $(omit_none { $($o:ident),* $(,)? })?
+     $(flatten { $($fl:ident),* $(,)? })?) => {
+        impl $crate::json::Json for $ty {
+            fn encode(&self) -> $crate::json::Value {
+                let mut m = ::std::collections::BTreeMap::new();
+                $(m.insert(stringify!($f).to_owned(), $crate::json::Json::encode(&self.$f));)*
+                $($(m.insert(stringify!($b).to_owned(), $crate::json::bits_value(self.$b));)*)?
+                $($(if let Some(x) = &self.$o {
+                    m.insert(stringify!($o).to_owned(), $crate::json::Json::encode(x));
+                })*)?
+                $($(if let $crate::json::Value::Obj(inner) = $crate::json::Json::encode(&self.$fl) {
+                    m.extend(inner);
+                })*)?
+                $crate::json::Value::Obj(m)
+            }
+            fn decode(v: &$crate::json::Value) -> Result<Self, String> {
+                Ok(Self {
+                    $($f: $crate::json::field(v, stringify!($f))?,)*
+                    $($($b: $crate::json::bits_field(v, stringify!($b))?,)*)?
+                    $($($o: $crate::json::opt_field(v, stringify!($o))?,)*)?
+                    $($($fl: $crate::json::Json::decode(v)?,)*)?
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Json`] for a type with `as_str` / `parse` wire names (a
+/// unit-variant enum) as a JSON string.
+#[macro_export]
+macro_rules! json_enum {
+    ($ty:ty) => {
+        impl $crate::json::Json for $ty {
+            fn encode(&self) -> $crate::json::Value {
+                $crate::json::Value::Str(self.as_str().to_owned())
+            }
+            fn decode(v: &$crate::json::Value) -> Result<Self, String> {
+                <$ty>::parse(&<String as $crate::json::Json>::decode(v)?)
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,6 +706,39 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("\"\\ud800\"").is_err()); // lone surrogate
         assert!(parse("nulL").is_err());
+    }
+
+    #[test]
+    fn writer_round_trips_compact_and_indented() {
+        let text = r#"{"a":[1,-2.5,{"b":null}],"c":"q\"\n","d":{},"e":[true]}"#;
+        let v = parse(text).unwrap();
+        assert_eq!(v.to_string(), text);
+        let pretty = format!("{v:#}");
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [\n    1,\n    -2.5,\n    {\"b\": null}\n  ],\n  \"c\": \"q\\\"\\n\",\n  \"d\": {},\n  \"e\": [true]\n}"
+        );
+        assert_eq!(parse(&pretty).unwrap(), v);
+        assert_eq!(Value::Num(f64::NAN).to_string(), "0");
+    }
+
+    #[test]
+    fn typed_fields_are_strict_and_bits_are_exact() {
+        let v = parse(r#"{"n":3,"neg":-1,"frac":1.5,"s":"true","big":70000}"#).unwrap();
+        assert_eq!(field::<u64>(&v, "n"), Ok(3));
+        for key in ["neg", "frac", "s"] {
+            assert!(field::<u64>(&v, key).is_err(), "{key}");
+        }
+        assert!(field::<bool>(&v, "s").is_err());
+        assert!(field::<u16>(&v, "big").is_err(), "out of range");
+        assert!(field::<u64>(&v, "missing").is_err());
+        assert_eq!(opt_field::<u64>(&v, "missing"), Ok(None));
+        for x in [f64::NAN, -0.0, f64::INFINITY, 0.1 + 0.2] {
+            let w =
+                parse(&Value::Obj([("x".to_owned(), bits_value(x))].into()).to_string()).unwrap();
+            assert_eq!(bits_field::<f64>(&w, "x").unwrap().to_bits(), x.to_bits());
+        }
+        assert!(bits_field::<u64>(&parse(r#"{"x":"+1"}"#).unwrap(), "x").is_err());
     }
 
     #[test]

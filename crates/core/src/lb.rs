@@ -15,7 +15,9 @@
 
 use nba_sim::Time;
 
-use crate::audit::{DecisionClock, DecisionContext, DecisionKind, DecisionLog, DecisionRecord};
+use crate::audit::{
+    DecisionClock, DecisionContext, DecisionKind, DecisionLog, DecisionMeta, DecisionRecord,
+};
 use crate::batch::{anno, PacketBatch};
 use crate::element::{ElemCtx, Element, ElementKind};
 
@@ -507,9 +509,14 @@ impl LoadBalancer for Adaptive {
     }
 
     fn enable_audit(&mut self, capacity: usize) {
-        let mut log = DecisionLog::new("adaptive", self.cfg.clone(), self.w, capacity);
-        log.clock = self.clock.map(|c| (c.pkts_per_update, c.max_updates));
-        self.audit = Some(log);
+        let meta = DecisionMeta {
+            balancer: "adaptive".to_owned(),
+            cfg: self.cfg.clone(),
+            initial_w: self.w,
+            bound_ns: None,
+            clock: self.clock.map(|c| (c.pkts_per_update, c.max_updates)),
+        };
+        self.audit = Some(DecisionLog::new(meta, capacity));
     }
 
     fn set_decision_context(&mut self, ctx: DecisionContext) {
@@ -521,7 +528,7 @@ impl LoadBalancer for Adaptive {
     fn set_decision_clock(&mut self, clock: DecisionClock) {
         self.clock = Some(clock);
         if let Some(log) = self.audit.as_mut() {
-            log.clock = Some((clock.pkts_per_update, clock.max_updates));
+            log.meta.clock = Some((clock.pkts_per_update, clock.max_updates));
         }
         // Quantized mode: zero any runtime-published gauges already fed.
         self.latest_latency_ns = 0;
@@ -665,8 +672,8 @@ impl LoadBalancer for LatencyBounded {
     fn enable_audit(&mut self, capacity: usize) {
         self.inner.enable_audit(capacity);
         if let Some(log) = self.inner.audit.as_mut() {
-            log.balancer = "latency-bounded".to_owned();
-            log.bound_ns = Some(self.bound_ns);
+            log.meta.balancer = "latency-bounded".to_owned();
+            log.meta.bound_ns = Some(self.bound_ns);
         }
     }
 

@@ -32,7 +32,10 @@
 //! * [`lb`] — load balancers, including the paper's adaptive algorithm,
 //! * [`nls`] — node-local storage for shared read-mostly tables,
 //! * [`stats`] — counters, the system inspector, latency histograms,
-//! * [`json`] — a minimal JSON parser for reading bench artifacts back,
+//! * [`json`] — a minimal JSON parser, writer and typed codec for bench
+//!   artifacts,
+//! * [`journal`] — the one replayable JSONL journal format shared by the
+//!   decision, supervisor and flow-op logs,
 //! * [`telemetry`] — per-element profiles, run time-series, batch-lifecycle
 //!   traces, and JSONL/Prometheus exporters,
 //! * [`runtime`] — the discrete-event runtime (all experiments) and a live
@@ -49,6 +52,7 @@ pub mod fault;
 pub mod flow;
 pub mod graph;
 pub mod introspect;
+pub mod journal;
 pub mod json;
 pub mod lb;
 pub mod lint;
@@ -61,9 +65,9 @@ pub mod telemetry;
 pub mod verify;
 
 pub use audit::{
-    AuditConfig, DecisionClock, DecisionContext, DecisionKind, DecisionLog, DecisionRecord,
-    DriftConfig, DriftDetector, DriftGauge, DriftReport, OffloadStage, SloConfig, SloReport,
-    SloSample, SloTracker, StageProfiles,
+    AuditConfig, DecisionClock, DecisionContext, DecisionKind, DecisionLog, DecisionMeta,
+    DecisionRecord, DriftConfig, DriftDetector, DriftGauge, DriftReport, OffloadStage, SloConfig,
+    SloReport, SloSample, SloTracker, StageProfiles,
 };
 pub use batch::{anno, Anno, PacketBatch, PacketResult};
 pub use capture::TxRecord;

@@ -103,20 +103,16 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Renders the snapshot as a flat JSON object (the stats endpoint's
-    /// `totals` block; dependency-free like every exporter).
+    /// `totals` block).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rx_packets\":{},\"tx_packets\":{},\"tx_frame_bits\":{},\"dropped\":{},\"batches\":{},\"split_allocs\":{},\"offloaded_batches\":{},\"cpu_processed\":{},\"gpu_processed\":{}}}",
-            self.rx_packets,
-            self.tx_packets,
-            self.tx_frame_bits,
-            self.dropped,
-            self.batches,
-            self.split_allocs,
-            self.offloaded_batches,
-            self.cpu_processed,
-            self.gpu_processed,
-        )
+        crate::json::Json::encode(self).to_string()
+    }
+}
+
+crate::json_struct! {
+    Snapshot {
+        rx_packets, tx_packets, tx_frame_bits, dropped, batches, split_allocs,
+        offloaded_batches, cpu_processed, gpu_processed,
     }
 }
 

@@ -148,15 +148,15 @@ fn des_and_live_decision_streams_are_bit_identical() {
     let build = router();
     let des_log = des_decisions(&build);
     assert!(
-        !des_log.records.is_empty(),
+        !des_log.events.is_empty(),
         "the clock-mode balancer must have decided at least once"
     );
     // Enough packets for several milestones, one record each.
     let milestones = (BUDGET / PKTS_PER_UPDATE).min(MAX_UPDATES);
     assert!(
-        (2..=milestones).contains(&(des_log.records.len() as u64)),
+        (2..=milestones).contains(&(des_log.events.len() as u64)),
         "expected up to {milestones} milestone records, got {}",
-        des_log.records.len()
+        des_log.events.len()
     );
 
     let live_log = live_decisions(&build);

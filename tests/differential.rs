@@ -831,7 +831,7 @@ fn assert_flow_kill_drill(
     // buckets — the observable half of the invalidate-on-crash policy.
     let migrates: Vec<_> = flows
         .journal
-        .ops
+        .events
         .iter()
         .filter(|o| o.op == FlowOpKind::Migrate)
         .collect();
@@ -1108,7 +1108,7 @@ fn million_flow_nat_gate() {
         .collect();
     let migrates = flows
         .journal
-        .ops
+        .events
         .iter()
         .filter(|o| o.op == FlowOpKind::Migrate)
         .inspect(|m| {

@@ -197,7 +197,7 @@ fn kill_drill_records_replayable_quarantine_audit() {
     );
     assert_eq!(rep.decisions.len(), 4, "one audit log per replica");
     let dead_log = &rep.decisions[2];
-    let kinds: Vec<DecisionKind> = dead_log.records.iter().map(|r| r.kind).collect();
+    let kinds: Vec<DecisionKind> = dead_log.events.iter().map(|r| r.kind).collect();
     assert!(
         kinds.contains(&DecisionKind::HealthDown),
         "quarantine not recorded in the decision audit: {kinds:?}"
