@@ -27,8 +27,10 @@ use std::sync::Arc;
 
 use nba_sim::Time;
 
+use crate::flow::{FlowReport, FlowShardSnapshot};
 use crate::runtime::RunReport;
 use crate::stats::LatencyHistogram;
+use crate::supervise::HealthSnapshot;
 
 /// Telemetry knobs of a run (part of [`crate::runtime::RuntimeConfig`]).
 #[derive(Debug, Clone)]
@@ -803,6 +805,80 @@ fn prom_metric(out: &mut String, name: &str, help: &str, kind: &str, value: Stri
     ));
 }
 
+/// The self-healing loss/recovery ledger families, shared by the post-run
+/// export and the live `/metrics` endpoint so dashboards work on both.
+pub(crate) fn prom_health_ledger(out: &mut String, h: &HealthSnapshot) {
+    out.push_str("# HELP nba_shed_packets_total Packets shed by the IO overload policy\n");
+    out.push_str("# TYPE nba_shed_packets_total counter\n");
+    for (policy, n) in [
+        ("drop_tail", h.shed_drop_tail),
+        ("priority", h.shed_priority),
+        ("probabilistic", h.shed_probabilistic),
+    ] {
+        out.push_str(&format!(
+            "nba_shed_packets_total{{policy=\"{policy}\"}} {n}\n"
+        ));
+    }
+    for (name, help, v) in [
+        (
+            "nba_lost_in_ring_packets_total",
+            "Packets stranded in RX rings of dead workers",
+            h.lost_in_ring,
+        ),
+        (
+            "nba_lost_in_flight_packets_total",
+            "Offload completions stranded when their worker died",
+            h.lost_in_flight,
+        ),
+        (
+            "nba_resteers_total",
+            "RSS re-steer operations performed by the supervisor",
+            h.resteers,
+        ),
+        (
+            "nba_resteer_buckets_moved_total",
+            "RSS indirection buckets moved across all re-steers",
+            h.buckets_moved,
+        ),
+        (
+            "nba_worker_respawns_total",
+            "Crashed workers respawned by the supervisor",
+            h.respawns,
+        ),
+        (
+            "nba_ring_disconnects_total",
+            "Dead worker rings observed by IO threads",
+            h.ring_disconnects,
+        ),
+    ] {
+        prom_metric(out, name, help, "counter", v.to_string());
+    }
+}
+
+/// Live flow-table entries per shard and the eviction breakdown (shared
+/// like [`prom_health_ledger`]); returns the totals for further families.
+pub(crate) fn prom_flow_occupancy(out: &mut String, fl: &FlowReport) -> FlowShardSnapshot {
+    out.push_str("# HELP nba_flows_live Live flow-table entries per worker shard\n");
+    out.push_str("# TYPE nba_flows_live gauge\n");
+    for (w, s) in &fl.shards {
+        out.push_str(&format!("nba_flows_live{{shard=\"{w}\"}} {}\n", s.live));
+    }
+    let t = fl.totals();
+    out.push_str("# HELP nba_flow_evictions_total Flow-table evictions by reason\n");
+    out.push_str("# TYPE nba_flow_evictions_total counter\n");
+    for (reason, n) in [
+        ("idle", t.evict_idle),
+        ("embryonic", t.evict_embryonic),
+        ("closed", t.evict_closed),
+        ("worker_death", t.evict_death),
+    ] {
+        out.push_str(&format!(
+            "nba_flow_evictions_total{{reason=\"{reason}\"}} {n}\n"
+        ));
+    }
+    t
+}
+
 /// Renders a [`RunReport`] in the Prometheus text exposition format.
 pub fn report_to_prometheus(r: &RunReport) -> String {
     let mut out = String::new();
@@ -962,82 +1038,12 @@ pub fn report_to_prometheus(r: &RunReport) -> String {
             ));
         }
     }
-    let h = &r.health.stats;
-    out.push_str("# HELP nba_shed_packets_total Packets shed by the IO overload policy\n");
-    out.push_str("# TYPE nba_shed_packets_total counter\n");
-    for (policy, n) in [
-        ("drop_tail", h.shed_drop_tail),
-        ("priority", h.shed_priority),
-        ("probabilistic", h.shed_probabilistic),
-    ] {
-        out.push_str(&format!(
-            "nba_shed_packets_total{{policy=\"{policy}\"}} {n}\n"
-        ));
-    }
-    prom_metric(
-        &mut out,
-        "nba_lost_in_ring_packets_total",
-        "Packets stranded in RX rings of dead workers",
-        "counter",
-        h.lost_in_ring.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_lost_in_flight_packets_total",
-        "Offload completions stranded when their worker died",
-        "counter",
-        h.lost_in_flight.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_resteers_total",
-        "RSS re-steer operations performed by the supervisor",
-        "counter",
-        h.resteers.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_resteer_buckets_moved_total",
-        "RSS indirection buckets moved across all re-steers",
-        "counter",
-        h.buckets_moved.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_worker_respawns_total",
-        "Crashed workers respawned by the supervisor",
-        "counter",
-        h.respawns.to_string(),
-    );
-    prom_metric(
-        &mut out,
-        "nba_ring_disconnects_total",
-        "Dead worker rings observed by IO threads",
-        "counter",
-        h.ring_disconnects.to_string(),
-    );
+    prom_health_ledger(&mut out, &r.health.stats);
 
     // Stateful flow plane (absent unless a stateful element ran, so
     // flow-free runs keep their exact exposition bytes).
     if let Some(fl) = &r.flows {
-        out.push_str("# HELP nba_flows_live Live flow-table entries per worker shard\n");
-        out.push_str("# TYPE nba_flows_live gauge\n");
-        for (w, s) in &fl.shards {
-            out.push_str(&format!("nba_flows_live{{shard=\"{w}\"}} {}\n", s.live));
-        }
-        let t = fl.totals();
-        out.push_str("# HELP nba_flow_evictions_total Flow-table evictions by reason\n");
-        out.push_str("# TYPE nba_flow_evictions_total counter\n");
-        for (reason, n) in [
-            ("idle", t.evict_idle),
-            ("embryonic", t.evict_embryonic),
-            ("closed", t.evict_closed),
-            ("worker_death", t.evict_death),
-        ] {
-            out.push_str(&format!(
-                "nba_flow_evictions_total{{reason=\"{reason}\"}} {n}\n"
-            ));
-        }
+        let t = prom_flow_occupancy(&mut out, fl);
         prom_metric(
             &mut out,
             "nba_flow_inserts_total",
