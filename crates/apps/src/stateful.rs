@@ -121,8 +121,8 @@ fn rewrite_src(frame: &mut [u8], p: &ParsedV4, new_ip: u32, new_port: u16) {
 struct FlowAttach {
     table: FlowTable,
     shard: Arc<ShardFlowState>,
-    /// Run worker count (0 = unknown): foreign-bucket detection.
-    workers: usize,
+    /// Queues per RSS table (0 = unknown): foreign-bucket detection.
+    queues: usize,
 }
 
 impl FlowAttach {
@@ -131,14 +131,16 @@ impl FlowAttach {
         FlowAttach {
             table: FlowTable::new(ctx.worker, cfg, &registry),
             shard: registry_shard(&registry, ctx.worker),
-            workers: registry.workers(),
+            queues: registry.rss_queues(),
         }
     }
 
     /// Is `bucket` homed on another worker? True only after a re-steer
-    /// (RSS otherwise never delivers foreign buckets here).
+    /// (RSS otherwise never delivers foreign buckets here). A worker's
+    /// queue index within its RSS table is `worker % queues` (workers are
+    /// numbered table by table).
     fn foreign(&self, bucket: u16, worker: usize) -> bool {
-        self.workers > 0 && usize::from(bucket) % self.workers != worker
+        self.queues > 0 && usize::from(bucket) % self.queues != worker % self.queues
     }
 }
 
@@ -771,18 +773,22 @@ mod tests {
 
     fn tcp_frame(src: u32, sport: u16, dst: u32, dport: u16, flags: u8) -> Vec<u8> {
         let mut f = vec![0u8; 64];
-        let mut b = FrameBuilder::default();
-        b.src_port = sport;
-        b.dst_port = dport;
+        let b = FrameBuilder {
+            src_port: sport,
+            dst_port: dport,
+            ..FrameBuilder::default()
+        };
         b.build_ipv4_tcp(&mut f, 64, src, dst, flags, 0);
         f
     }
 
     fn udp_frame(src: u32, sport: u16, dst: u32, dport: u16) -> Vec<u8> {
         let mut f = vec![0u8; 64];
-        let mut b = FrameBuilder::default();
-        b.src_port = sport;
-        b.dst_port = dport;
+        let b = FrameBuilder {
+            src_port: sport,
+            dst_port: dport,
+            ..FrameBuilder::default()
+        };
         b.build_ipv4(&mut f, 64, src, dst);
         f
     }
@@ -1014,7 +1020,7 @@ mod tests {
         let frame = tcp_frame(pinned_src, 1000, 2, 80, TCP_ACK);
         let mut p = Packet::from_bytes(&frame);
         let (_, a0) = run_flow(&mut lb, &nls, &insp, &mut p, 5);
-        assert_eq!(a0.get(anno::IFACE_OUT), 2 % 8);
+        assert_eq!(a0.get(anno::IFACE_OUT), 2);
         // Tick the bucket past the flip epoch.
         for _ in 0..6 {
             let mut p = Packet::from_bytes(&frame);
@@ -1038,7 +1044,7 @@ mod tests {
         let frame = tcp_frame(fresh_src, 1000, 2, 80, TCP_ACK);
         let mut p = Packet::from_bytes(&frame);
         let (_, a) = run_flow(&mut lb, &nls, &insp, &mut p, 5);
-        assert_ne!(a.get(anno::IFACE_OUT), 2 % 8);
+        assert_ne!(a.get(anno::IFACE_OUT), 2);
     }
 
     #[test]

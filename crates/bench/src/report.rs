@@ -796,8 +796,9 @@ pub fn compare(base: &BenchReport, cur: &BenchReport, tol: &Tolerances) -> Compa
     one_sided(&mut c.warnings, "a scaling sweep", bs, cs);
 
     // Stateful flow plane: live-flow occupancy is a capacity claim, so it
-    // gates like throughput (floor); table-full drops, death evictions and
-    // out-of-state drops gate like fault counters. Everything else is
+    // gates like throughput (floor); table-full drops, death evictions,
+    // out-of-state drops and foreign-bucket inserts (a clean run never
+    // re-steers a bucket) gate like fault counters. Everything else is
     // context.
     if let (Some(b), Some(cu)) = (&base.flows, &cur.flows) {
         gate_floor(rows, "flows_live", b.live as f64, cu.live as f64, thr);
@@ -808,6 +809,7 @@ pub fn compare(base: &BenchReport, cur: &BenchReport, tol: &Tolerances) -> Compa
                 cu.table_full_drops,
             ),
             ("flow_evict_death", b.evict_death, cu.evict_death),
+            ("flow_migrated_in", b.migrated_in, cu.migrated_in),
             (
                 "flow_out_of_state_drops",
                 b.out_of_state_drops,
@@ -819,7 +821,6 @@ pub fn compare(base: &BenchReport, cur: &BenchReport, tol: &Tolerances) -> Compa
         for (metric, bv, cv) in [
             ("flow_inserts", b.inserts, cu.inserts),
             ("flow_evictions", b.evictions_total(), cu.evictions_total()),
-            ("flow_migrated_in", b.migrated_in, cu.migrated_in),
             ("nat_ports_in_use", b.nat_ports_in_use, cu.nat_ports_in_use),
         ] {
             rows.push(count_info(metric, bv, cv));
@@ -1080,6 +1081,7 @@ mod tests {
             |f: &mut FlowShardSnapshot| f.table_full_drops = 1,
             |f: &mut FlowShardSnapshot| f.evict_death = 7,
             |f: &mut FlowShardSnapshot| f.out_of_state_drops = 3,
+            |f: &mut FlowShardSnapshot| f.migrated_in = 5,
         ] {
             let mut cur = base.clone();
             tweak(cur.flows.as_mut().unwrap());

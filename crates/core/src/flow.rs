@@ -919,10 +919,10 @@ impl FlowReport {
 struct RegistryInner {
     shards: Mutex<BTreeMap<u32, Arc<ShardFlowState>>>,
     journal_on: AtomicBool,
-    /// Worker count of the run (0 = unknown): lets elements detect
-    /// foreign-bucket inserts (`bucket % workers != worker`) after a
-    /// re-steer.
-    workers: AtomicU64,
+    /// Queues per RSS table (0 = unknown): lets elements detect
+    /// foreign-bucket inserts (`bucket % queues != worker % queues`) after
+    /// a re-steer.
+    rss_queues: AtomicU64,
 }
 
 /// The run-wide rendezvous between stateful elements (which own the
@@ -941,7 +941,7 @@ impl Default for RegistryInner {
         RegistryInner {
             shards: Mutex::new(BTreeMap::new()),
             journal_on: AtomicBool::new(false),
-            workers: AtomicU64::new(0),
+            rss_queues: AtomicU64::new(0),
         }
     }
 }
@@ -983,17 +983,22 @@ impl FlowRegistry {
         slot.clone()
     }
 
-    /// Records the run's worker count (runtimes call this at publish
-    /// time) so elements can tell home-bucket inserts from re-steered
-    /// foreign ones.
-    pub fn set_workers(&self, n: usize) {
-        self.inner.workers.store(n as u64, Ordering::Relaxed);
+    /// Records how many queues each of the run's RSS tables spreads its
+    /// buckets over (runtimes call this at publish time), so elements can
+    /// tell home-bucket inserts from re-steered foreign ones. Bucket `b` is
+    /// homed on the worker whose queue index is `b % queues`: the live
+    /// runtime has one table over all workers; the DES has one per socket
+    /// over that socket's workers.
+    pub fn set_rss_queues(&self, queues: usize) {
+        self.inner
+            .rss_queues
+            .store(queues as u64, Ordering::Relaxed);
     }
 
-    /// The run's worker count, or 0 when no runtime recorded one (all
-    /// inserts then count as home).
-    pub fn workers(&self) -> usize {
-        self.inner.workers.load(Ordering::Relaxed) as usize
+    /// Queues per RSS table, or 0 when no runtime recorded it (all inserts
+    /// then count as home).
+    pub fn rss_queues(&self) -> usize {
+        self.inner.rss_queues.load(Ordering::Relaxed) as usize
     }
 
     /// True once any stateful element attached a shard.

@@ -481,16 +481,12 @@ impl ElementGraph {
                     let span = self.alloc_span();
                     batch.banno_mut().set(anno::SPAN_ID, span);
                     if let Some(tr) = self.trace.as_deref_mut() {
+                        let kind = TraceEventKind::OffloadEnqueue;
+                        let pkts = batch.len() as u64;
                         tr.push(TraceEvent {
-                            t: ctx.now,
-                            worker: ctx.worker as u32,
-                            batch: batch.banno().get(anno::TRACE_ID),
-                            node: Some(nid.0 as u32),
-                            kind: TraceEventKind::OffloadEnqueue,
-                            packets: batch.len() as u32,
-                            dur: Time::ZERO,
                             span,
                             parent,
+                            ..batch_event(ctx, nid, kind, &batch, pkts)
                         });
                     }
                 }
@@ -539,15 +535,8 @@ impl ElementGraph {
             acc.service.record_ns(visit_ns);
             if let Some(tr) = self.trace.as_deref_mut() {
                 tr.push(TraceEvent {
-                    t: ctx.now,
-                    worker: ctx.worker as u32,
-                    batch: batch.banno().get(anno::TRACE_ID),
-                    node: Some(nid.0 as u32),
-                    kind: TraceEventKind::Element,
-                    packets: live as u32,
                     dur: Time::from_ns(visit_ns),
-                    span: batch.banno().get(anno::SPAN_ID),
-                    parent: 0,
+                    ..batch_event(ctx, nid, TraceEventKind::Element, &batch, live)
                 });
             }
             self.route(ctx, cost, counters, nid, batch, &mut work, outcome);
@@ -597,17 +586,8 @@ impl ElementGraph {
         if node_drops > 0 {
             self.profiles[nid.0].drops += node_drops;
             if let Some(tr) = self.trace.as_deref_mut() {
-                tr.push(TraceEvent {
-                    t: ctx.now,
-                    worker: ctx.worker as u32,
-                    batch: batch.banno().get(anno::TRACE_ID),
-                    node: Some(nid.0 as u32),
-                    kind: TraceEventKind::Drop,
-                    packets: node_drops as u32,
-                    dur: Time::ZERO,
-                    span: batch.banno().get(anno::SPAN_ID),
-                    parent: 0,
-                });
+                let kind = TraceEventKind::Drop;
+                tr.push(batch_event(ctx, nid, kind, &batch, node_drops));
             }
         }
         if batch.is_empty() {
@@ -628,17 +608,8 @@ impl ElementGraph {
 
         // 2. A real branch: reorganize per policy.
         if let Some(tr) = self.trace.as_deref_mut() {
-            tr.push(TraceEvent {
-                t: ctx.now,
-                worker: ctx.worker as u32,
-                batch: batch.banno().get(anno::TRACE_ID),
-                node: Some(nid.0 as u32),
-                kind: TraceEventKind::Branch,
-                packets: batch.len() as u32,
-                dur: Time::ZERO,
-                span: batch.banno().get(anno::SPAN_ID),
-                parent: 0,
-            });
+            let kind = TraceEventKind::Branch;
+            tr.push(batch_event(ctx, nid, kind, &batch, batch.len() as u64));
         }
         match self.policy {
             BranchPolicy::SplitAlways => {
@@ -682,17 +653,8 @@ impl ElementGraph {
                     .sum();
                 if diverged > 0 {
                     if let Some(tr) = self.trace.as_deref_mut() {
-                        tr.push(TraceEvent {
-                            t: ctx.now,
-                            worker: ctx.worker as u32,
-                            batch: batch.banno().get(anno::TRACE_ID),
-                            node: Some(nid.0 as u32),
-                            kind: TraceEventKind::BranchMiss,
-                            packets: diverged as u32,
-                            dur: Time::ZERO,
-                            span: batch.banno().get(anno::SPAN_ID),
-                            parent: 0,
-                        });
+                        let kind = TraceEventKind::BranchMiss;
+                        tr.push(batch_event(ctx, nid, kind, &batch, diverged));
                     }
                 }
                 let mut per_port: Vec<Option<PacketBatch>> = (0..ports).map(|_| None).collect();
@@ -778,6 +740,22 @@ fn argmax(counts: &[u64]) -> u8 {
         }
     }
     best as u8
+}
+
+/// A point trace event of `kind` at node `nid`, stamped with `batch`'s
+/// trace and span ids.
+fn batch_event(
+    ctx: &ElemCtx<'_>,
+    nid: NodeId,
+    kind: TraceEventKind,
+    batch: &PacketBatch,
+    packets: u64,
+) -> TraceEvent {
+    let id = batch.banno().get(anno::TRACE_ID);
+    TraceEvent {
+        span: batch.banno().get(anno::SPAN_ID),
+        ..TraceEvent::point(ctx.now, ctx.worker, kind, id, Some(nid.0), packets as usize)
+    }
 }
 
 #[cfg(test)]

@@ -318,9 +318,11 @@ impl FlightDump {
 // In-flight stats endpoint.
 // ---------------------------------------------------------------------------
 
-/// Everything the stats endpoint reads. All handles are shared with the
-/// live runtime's threads; every read is a snapshot, never a lock held
-/// across packet processing.
+/// Everything the stats endpoint reads. The live runtime keeps one as part
+/// of its run-wide state and serves a clone (all handles are shared), so
+/// the endpoint sees exactly what the threads update; every read is a
+/// snapshot, never a lock held across packet processing.
+#[derive(Clone)]
 pub struct StatsState {
     /// Run epoch (elapsed time base).
     pub started: Instant,
@@ -359,15 +361,19 @@ pub struct StatsState {
 }
 
 impl StatsState {
-    fn shard_gauge(&self, w: usize) -> (u64, u64, u64) {
-        let rings = match self.rx_gauges.get(w) {
-            Some(r) => r,
-            None => return (0, 0, 0),
-        };
-        let occ = rings.iter().map(|g| g.lock().occupancy() as u64).sum();
-        let hw = rings.iter().map(|g| g.lock().high_water() as u64).sum();
-        let failed = rings.iter().map(|g| g.lock().enqueue_failed()).sum();
-        (occ, hw, failed)
+    /// Shard `w`'s RX-ring gauges summed over the IO threads feeding it:
+    /// (occupancy, high water, enqueue failures); zeros for an unknown
+    /// shard.
+    pub(crate) fn shard_gauge(&self, w: usize) -> (u64, u64, u64) {
+        let rings = self.rx_gauges.get(w).into_iter().flatten();
+        rings.fold((0, 0, 0), |(occ, hw, failed), g| {
+            let g = g.lock();
+            (
+                occ + g.occupancy() as u64,
+                hw + g.high_water() as u64,
+                failed + g.enqueue_failed(),
+            )
+        })
     }
 
     /// The `/status` JSON document.

@@ -41,7 +41,7 @@ use crate::telemetry::{
 
 use nba_gpu::TimelineStats;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A traffic source feeding one port (synthetic generator or trace replay).
@@ -152,16 +152,10 @@ impl WorkerEntity {
         let tx_at = now + cost.cycles(cycles_before + cycles);
         if !outcome.tx.is_empty() {
             if let Some(tr) = self.graph.trace_mut() {
+                let kind = TraceEventKind::Tx;
                 tr.push(TraceEvent {
-                    t: now,
-                    worker: self.id as u32,
-                    batch: trace_batch,
-                    node: None,
-                    kind: TraceEventKind::Tx,
-                    packets: outcome.tx.len() as u32,
-                    dur: Time::ZERO,
                     span: trace_span,
-                    parent: 0,
+                    ..TraceEvent::point(now, self.id, kind, trace_batch, None, outcome.tx.len())
                 });
             }
         }
@@ -264,16 +258,11 @@ impl Entity for WorkerEntity {
                     TraceEventKind::OffloadComplete
                 };
                 if let Some(tr) = self.graph.trace_mut() {
+                    let (node, pkts) = (Some(done.node.0), done.batch.len());
                     tr.push(TraceEvent {
-                        t: now,
-                        worker: self.id as u32,
-                        batch: trace_batch,
-                        node: Some(done.node.0 as u32),
-                        kind,
-                        packets: done.batch.len() as u32,
-                        dur: Time::ZERO,
                         span: trace_span,
                         parent,
+                        ..TraceEvent::point(now, self.id, kind, trace_batch, node, pkts)
                     });
                 }
             }
@@ -357,16 +346,10 @@ impl Entity for WorkerEntity {
                 trace_span = self.graph.alloc_span();
                 batch.banno_mut().set(anno::SPAN_ID, trace_span);
                 if let Some(tr) = self.graph.trace_mut() {
+                    let kind = TraceEventKind::Rx;
                     tr.push(TraceEvent {
-                        t: now,
-                        worker: self.id as u32,
-                        batch: trace_batch,
-                        node: None,
-                        kind: TraceEventKind::Rx,
-                        packets: batch.len() as u32,
-                        dur: Time::ZERO,
                         span: trace_span,
-                        parent: 0,
+                        ..TraceEvent::point(now, self.id, kind, trace_batch, None, batch.len())
                     });
                 }
             }
@@ -423,8 +406,10 @@ struct DeviceEntity {
     cfg: RuntimeConfig,
     tasks: SimQueue<OffloadTask>,
     /// Aggregation buffers per offloadable node id, with the arrival time
-    /// of each buffer's oldest batch (the launch deadline anchor).
-    agg: HashMap<usize, (Time, Vec<OffloadTask>)>,
+    /// of each buffer's oldest batch (the launch deadline anchor). Ordered,
+    /// so aggregates launch in node order and a pipeline with several
+    /// offloadable elements runs the same way every time.
+    agg: BTreeMap<usize, (Time, Vec<OffloadTask>)>,
     specs: HashMap<usize, OffloadSpec>,
     /// Datablock-reuse chains: node -> immediately following offloadable
     /// node whose datablock is identical (empty unless enabled).
@@ -541,16 +526,12 @@ impl DeviceEntity {
                 if flush_span == 0 {
                     flush_span = span;
                 }
+                let kind = TraceEventKind::OffloadLaunch;
+                let (id, pkts) = (t.batch.banno().get(anno::TRACE_ID), t.batch.len());
                 tr.push(TraceEvent {
-                    t: now,
-                    worker: t.worker as u32,
-                    batch: t.batch.banno().get(anno::TRACE_ID),
-                    node: Some(node as u32),
-                    kind: TraceEventKind::OffloadLaunch,
-                    packets: t.batch.len() as u32,
-                    dur: Time::ZERO,
                     span,
                     parent,
+                    ..TraceEvent::point(now, t.worker, kind, id, Some(node), pkts)
                 });
             }
         }
@@ -1228,7 +1209,7 @@ pub fn run_with_sources(
     // so shard ownership is unambiguous); stateful elements attach to it
     // through their socket's node-local storage.
     let flow_registry = crate::flow::FlowRegistry::new();
-    flow_registry.set_workers(total_workers);
+    flow_registry.set_rss_queues(wps);
     if cfg.flow_journal {
         flow_registry.enable_journal();
     }
@@ -1453,7 +1434,7 @@ pub fn run_with_sources(
         let entity = DeviceEntity {
             cfg: cfg.clone(),
             tasks: offload_qs[s].clone(),
-            agg: HashMap::new(),
+            agg: BTreeMap::new(),
             specs: specs.clone(),
             fuse_next: fuse_next.clone(),
             gpu: gpu.clone(),

@@ -291,6 +291,31 @@ pub struct TraceEvent {
     pub parent: u64,
 }
 
+impl TraceEvent {
+    /// A point event (zero duration) with no causal links; callers set
+    /// `span`/`parent` with struct-update syntax.
+    pub(crate) fn point(
+        t: Time,
+        worker: usize,
+        kind: TraceEventKind,
+        batch: u64,
+        node: Option<usize>,
+        packets: usize,
+    ) -> TraceEvent {
+        TraceEvent {
+            t,
+            worker: worker as u32,
+            batch,
+            node: node.map(|n| n as u32),
+            kind,
+            packets: packets as u32,
+            dur: Time::ZERO,
+            span: 0,
+            parent: 0,
+        }
+    }
+}
+
 /// A bounded ring of [`TraceEvent`]s: pushes never allocate past capacity,
 /// the oldest events are overwritten and counted.
 #[derive(Debug, Clone)]

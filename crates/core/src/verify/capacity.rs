@@ -26,8 +26,9 @@ use crate::runtime::live::{LiveConfig, MAX_OUTSTANDING, TASK_RING_DEPTH};
 use crate::runtime::RuntimeConfig;
 
 /// The queue shape of one run, extracted from a runtime configuration.
-/// All fields are clamped the same way the runtimes clamp them, so the
-/// model checks the depths that will actually be allocated.
+/// The live runtime allocates from this model directly, and the DES model
+/// clamps the way the DES does, so the checks see the depths that will
+/// actually be allocated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapacityModel {
     /// Worker threads (consumers of the RX rings).
@@ -51,9 +52,9 @@ pub struct CapacityModel {
 }
 
 impl CapacityModel {
-    /// The queue shape of a live run, mirroring `live::run_core`'s
-    /// allocation arithmetic (ring depth is raised to at least one batch;
-    /// the in-flight cap is `workers × MAX_OUTSTANDING`).
+    /// The queue shape of a live run, and the dimensions the live runtime
+    /// allocates (ring depth is raised to at least one batch; the in-flight
+    /// cap is `workers × MAX_OUTSTANDING`).
     pub fn from_live(cfg: &LiveConfig) -> CapacityModel {
         let workers = cfg.workers.max(1);
         let batch = cfg.batch.max(1);

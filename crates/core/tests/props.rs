@@ -208,7 +208,7 @@ proptest! {
     ) {
         let cfg = FlowTableConfig { capacity, ttl_epochs: ttl, embryonic_ttl_epochs: embryonic_ttl, epoch_pkts };
         let registry = FlowRegistry::new();
-        registry.set_workers(1);
+        registry.set_rss_queues(1);
         let mut table = FlowTable::new(0, cfg, &registry);
         let handed_back = drive_flow_table(&mut table, &ops);
 
@@ -242,7 +242,7 @@ proptest! {
         };
         let run = || {
             let registry = FlowRegistry::new();
-            registry.set_workers(1);
+            registry.set_rss_queues(1);
             registry.enable_journal();
             let mut table = FlowTable::new(0, cfg, &registry);
             drive_flow_table(&mut table, &ops);
@@ -273,7 +273,7 @@ proptest! {
             epoch_pkts,
         };
         let registry = FlowRegistry::new();
-        registry.set_workers(1);
+        registry.set_rss_queues(1);
         let mut table = FlowTable::new(0, cfg, &registry);
         drive_flow_table(&mut table, &ops);
         prop_assert!(capacity == 0 || table.capacity() >= capacity.min(1 << 27));

@@ -2,11 +2,12 @@
 //! correctness (routing, encryption, detection) and basic throughput sanity
 //! on the small test topology.
 
+use nba::apps::stateful::NatConfig;
 use nba::apps::{pipelines, AppConfig};
 use nba::core::element::ComputeMode;
 use nba::core::lb;
 use nba::core::runtime::{des, traffic_per_port, RunReport, RuntimeConfig};
-use nba::io::{IpVersion, PayloadFill, SizeDist, TrafficConfig};
+use nba::io::{IpVersion, L4Proto, PayloadFill, SizeDist, TrafficConfig};
 use nba::sim::Time;
 
 fn app_for(cfg: &RuntimeConfig) -> AppConfig {
@@ -200,25 +201,81 @@ fn ids_gpu_path_detects_equally() {
     let _ = (r_cpu, r_gpu);
 }
 
+/// 64 B frames at 10 Gbps per port: the paper testbed's line rate.
+fn line_rate(cfg: &RuntimeConfig, l4: L4Proto) -> Vec<TrafficConfig> {
+    traffic_per_port(
+        &cfg.topology,
+        &TrafficConfig {
+            offered_gbps: 10.0,
+            size: SizeDist::Fixed(64),
+            l4,
+            ..TrafficConfig::default()
+        },
+    )
+}
+
 #[test]
 fn determinism_same_seed_same_report() {
-    let cfg = RuntimeConfig::test_default();
-    let app = app_for(&cfg);
-    let run = || {
-        des::run(
-            &cfg,
-            &pipelines::ipv4_router(&app),
-            &lb::shared(Box::new(lb::FixedFraction::new(0.5))),
-            &light_traffic(&cfg, 2.0),
-        )
+    let small = RuntimeConfig::test_default();
+    // IPsec offloads two elements (AES, then HMAC): at line rate the device
+    // holds aggregates of both nodes at once, so their launch order must not
+    // depend on map iteration order. An unordered map yields one of a few
+    // launch orders per run, hence six runs over a short window.
+    let paper = RuntimeConfig {
+        warmup: Time::from_ms(1),
+        measure: Time::from_ms(2),
+        ..RuntimeConfig::default()
     };
-    let a = run();
-    let b = run();
-    assert_eq!(a.tx_packets, b.tx_packets);
-    assert_eq!(a.window.tx_frame_bits, b.window.tx_frame_bits);
-    assert_eq!(a.window.dropped, b.window.dropped);
-    assert_eq!(a.latency.count(), b.latency.count());
-    assert_eq!(a.latency.percentile(99.0), b.latency.percentile(99.0));
+    let cases = [
+        (
+            &small,
+            pipelines::ipv4_router(&app_for(&small)),
+            light_traffic(&small, 2.0),
+            2,
+        ),
+        (
+            &paper,
+            pipelines::ipsec_gateway(&app_for(&paper)),
+            line_rate(&paper, TrafficConfig::default().l4),
+            6,
+        ),
+    ];
+    for (cfg, pipeline, traffic, runs) in &cases {
+        let run = || {
+            let balancer = lb::shared(Box::new(lb::FixedFraction::new(0.5)));
+            des::run(cfg, pipeline, &balancer, traffic)
+        };
+        let a = run();
+        for _ in 1..*runs {
+            let b = run();
+            assert_eq!(a.tx_packets, b.tx_packets);
+            assert_eq!(a.window.tx_frame_bits, b.window.tx_frame_bits);
+            assert_eq!(a.window.dropped, b.window.dropped);
+            assert_eq!(a.latency.count(), b.latency.count());
+            assert_eq!(a.latency.percentile(99.0), b.latency.percentile(99.0));
+        }
+    }
+}
+
+#[test]
+fn clean_nat44_run_migrates_no_flows() {
+    // Two sockets, each with its own RSS table over its own workers: with
+    // no re-steer, every insert lands on the bucket's home shard.
+    let cfg = RuntimeConfig {
+        warmup: Time::from_ms(1),
+        measure: Time::from_ms(2),
+        ..RuntimeConfig::default()
+    };
+    assert!(cfg.topology.sockets.len() > 1);
+    let report = des::run(
+        &cfg,
+        &pipelines::nat44(&NatConfig::default()),
+        &lb::shared(Box::new(lb::CpuOnly)),
+        &line_rate(&cfg, L4Proto::Tcp),
+    );
+    let flows = report.flows.expect("nat44 attaches flow shards").totals();
+    assert!(flows.inserts > 0, "{flows:?}");
+    assert_eq!(flows.migrated_in, 0, "{flows:?}");
 }
 
 #[test]
